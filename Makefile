@@ -11,7 +11,7 @@ GO ?= go
 # a significance test (`make bench > new.txt && benchstat old.txt new.txt`).
 BENCH_COUNT ?= 6
 
-.PHONY: all build test vet fmt-check check race fuzz-smoke bench bench-smoke bench-figures bench-compare serve-smoke doc-links
+.PHONY: all build test vet fmt-check check race fuzz-smoke bench bench-smoke bench-wall-smoke bench-figures bench-compare serve-smoke doc-links
 
 all: check
 
@@ -48,14 +48,22 @@ doc-links:
 	$(GO) run ./cmd/doccheck
 
 # Microbenchmarks of the hot kernels (GF(2^w) multiplies, DP inner
-# loop), repeated for benchstat-friendly output.
+# loop, the sweep at the pre-planner / planned / single-phase widths),
+# repeated for benchstat-friendly output.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/gf ./internal/core
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/gf ./internal/core ./internal/mld
 
 # One iteration of every benchmark in the repo — the CI smoke check
 # that nothing bench-shaped has rotted.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Smoke test of the wall-clock benchmark (bench/ is a module of its own,
+# so `go test ./...` does not reach it): all four workloads at toy size.
+# bench/ is frozen between benchmark PRs; this is what fails loudly when
+# a planner or API change breaks what it imports.
+bench-wall-smoke:
+	$(GO) test -C bench .
 
 # Black-box smoke of the query daemon over a real socket: start
 # midas-serve, load a graph via the API, query + cache-hit repeat,

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"github.com/midas-hpc/midas/internal/comm"
+	"github.com/midas-hpc/midas/internal/core"
 	"github.com/midas-hpc/midas/internal/graph"
+	"github.com/midas-hpc/midas/internal/mld"
 	"github.com/midas-hpc/midas/internal/obs"
 	"github.com/midas-hpc/midas/internal/serve"
 	"github.com/midas-hpc/midas/internal/store"
@@ -533,29 +535,27 @@ func TestLeaseChaosDegradesInProcess(t *testing.T) {
 	}
 }
 
-// TestAutoTuneFillsPlan: cluster nodes auto-plan N2 (and N1 for
-// distributed queries) from graph size and fleet load, so replicas
-// derive the same plan and caches stay coherent.
+// TestAutoTuneFillsPlan: cluster nodes fill a distributed query's
+// unset N1 from core.AutoPlanN1 before keying it, and every query's
+// phase width is mld.PlanN2's — both pure functions of the query's
+// shape, so replicas derive the same plan and caches stay coherent.
 func TestAutoTuneFillsPlan(t *testing.T) {
 	f := newFleet(t, 1, 1, nil)
 	f.addRandomGraph(0, "rg", 60, 7)
-	// Identical query with and without an explicit N2 equal to the
-	// auto-plan must hit the same cache entry: the plan is part of the
-	// key, so a cache hit proves the auto-planner filled it the same.
-	q := serve.QueryRequest{Graph: "rg", Kind: serve.KindPath, K: 6, Seed: 3, Rounds: 1}
+	q := serve.QueryRequest{Graph: "rg", Kind: serve.KindPath, K: 6, Seed: 3, Rounds: 1, Ranks: 2}
 	first, _ := f.runQuery(0, q)
 	if first.Cached {
 		t.Fatal("first query claims cached")
 	}
-	vertices := 0
-	if _, v, _, ok := f.nodes[0].srv.LookupGraph("rg"); ok {
-		vertices = v
+	if want := mld.PlannedPhases(6, mld.PlanN2(0, 60, 6, 1, mld.PathSlabs)); first.TotalPhases != want {
+		t.Fatalf("TotalPhases = %d, want the planner's %d", first.TotalPhases, want)
 	}
-	_ = vertices
-	q.N2 = 0 // still auto
+	// The auto-planned N1 is part of the key, so spelling it out must
+	// hit the same entry; the phase width is not part of it at all.
+	q.N1, q.N2 = core.AutoPlanN1(60, 2), 16
 	second, _ := f.runQuery(0, q)
 	if !second.Cached {
-		t.Fatal("identical auto-tuned query missed the cache — plan not deterministic")
+		t.Fatal("query with the auto-plan spelled out missed the cache — plan not deterministic")
 	}
 }
 

@@ -116,7 +116,7 @@ func RunPathBatch(world *comm.Comm, g *graph.Graph, cfg Config, spec BatchSpec) 
 		return res, nil
 	}
 	cfg.K = kmax
-	p, err := buildPlan(world, g, cfg)
+	p, err := buildPlan(world, g, cfg, len(sts), mld.PathSlabs)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func RunPathBatch(world *comm.Comm, g *graph.Graph, cfg Config, spec BatchSpec) 
 	for _, st := range sts {
 		res[st.idx] = mld.LaneResult{
 			Found: st.found, Rounds: st.roundsRun, Phases: st.phases,
-			TotalPhases: int64((st.iters + uint64(n2) - 1) / uint64(n2)),
+			TotalPhases: mld.PlannedPhases(st.k, n2),
 			Err:         st.err,
 		}
 	}
@@ -281,7 +281,6 @@ func (p *plan) batchPathRoundLocal(sts []*batchLane, n2 int) error {
 	cur := p.arena.Grab(p.nSlots * stride)
 	defer p.arena.Put(base, prev, cur)
 	one := mld.CachedMulTable(1)
-	var skipped int64
 
 	for s := uint64(0); s < steps; s++ {
 		ph := s*uint64(p.groups) + uint64(p.gid)
@@ -338,16 +337,11 @@ func (p *plan) batchPathRoundLocal(sts []*batchLane, n2 int) error {
 						for _, u := range p.g.Neighbors(v) {
 							urow := int(p.slotOf[u]) * stride
 							for _, st := range lvl {
-								src := prev[urow+st.off : urow+st.off+st.nb]
-								if !gf.AnyNonZero(src) {
-									skipped++
-									continue
-								}
 								t := one
 								if !p.cfg.NoFingerprints {
 									t = st.a.EdgeTable(u, v, j)
 								}
-								gf.MulSliceTable16(cur[row+st.off:row+st.off+st.nb], src, t)
+								gf.MulSliceTable16(cur[row+st.off:row+st.off+st.nb], prev[urow+st.off:urow+st.off+st.nb], t)
 							}
 						}
 						for _, sp := range spans {
@@ -404,11 +398,9 @@ func (p *plan) batchPathRoundLocal(sts []*batchLane, n2 int) error {
 		}
 		// Algorithm 2 line 12, batch form: agree on cancellations.
 		if err := p.syncLanes(sts); err != nil {
-			p.rec.Add(obs.CellsSkipped, skipped)
 			return err
 		}
 	}
-	p.rec.Add(obs.CellsSkipped, skipped)
 	return nil
 }
 

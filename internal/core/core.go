@@ -44,7 +44,7 @@ import (
 type Config struct {
 	K       int
 	N1      int // graph parts per phase group; must divide world size; 0 → world size
-	N2      int // iterations per phase; 0 → 128 (capped at 2^k)
+	N2      int // iterations per phase; 0 → planned (mld.PlanN2); capped at 2^k
 	Seed    uint64
 	Epsilon float64          // target failure probability (default 0.05)
 	Rounds  int              // 0 → derived from Epsilon
@@ -83,7 +83,11 @@ type Config struct {
 	Progress func(done, total int64)
 }
 
-func (cfg Config) withDefaults(worldSize, k int) (Config, error) {
+// withDefaults resolves the unset knobs. vertices, lanes and slabs are
+// the shape mld.PlanN2 plans the phase width from: the graph's global
+// vertex count (not this rank's share, so every rank agrees), the
+// batch's lane count, and the family's slab count.
+func (cfg Config) withDefaults(worldSize, vertices, lanes, slabs int) (Config, error) {
 	if cfg.N1 == 0 {
 		cfg.N1 = worldSize
 	}
@@ -93,12 +97,7 @@ func (cfg Config) withDefaults(worldSize, k int) (Config, error) {
 	if cfg.Scheme == "" {
 		cfg.Scheme = partition.SchemeBlock
 	}
-	if cfg.N2 <= 0 {
-		cfg.N2 = 128
-	}
-	if total := uint64(1) << uint(k); uint64(cfg.N2) > total {
-		cfg.N2 = int(total)
-	}
+	cfg.N2 = mld.PlanN2(cfg.N2, vertices, cfg.K, lanes, slabs)
 	return cfg, nil
 }
 
@@ -144,8 +143,8 @@ type haloList struct {
 	slots []int32 // value-buffer slots of verts
 }
 
-func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config) (*plan, error) {
-	cfg, err := cfg.withDefaults(world.Size(), cfg.K)
+func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config, lanes, slabs int) (*plan, error) {
+	cfg, err := cfg.withDefaults(world.Size(), g.NumVertices(), lanes, slabs)
 	if err != nil {
 		return nil, err
 	}
@@ -380,10 +379,7 @@ func (p *plan) exchange(vals []gf.Elem, stride, nb, level, tag int) {
 }
 
 // phases returns the number of phases for 2^k iterations at width N2.
-func (p *plan) phases(k int) uint64 {
-	total := uint64(1) << uint(k)
-	return (total + uint64(p.cfg.N2) - 1) / uint64(p.cfg.N2)
-}
+func (p *plan) phases(k int) uint64 { return uint64(mld.PlannedPhases(k, p.cfg.N2)) }
 
 // Profile is a rank's time and traffic breakdown for one run: the
 // measured compute time, the rank's total virtual time (compute plus
@@ -407,7 +403,7 @@ func RunPathProfiled(world *comm.Comm, g *graph.Graph, cfg Config) (bool, Profil
 	if cfg.K > g.NumVertices() {
 		return false, Profile{}, nil
 	}
-	p, err := buildPlan(world, g, cfg)
+	p, err := buildPlan(world, g, cfg, 1, mld.PathSlabs)
 	if err != nil {
 		return false, Profile{}, err
 	}

@@ -80,51 +80,19 @@ func (p *plan) kernelCosts(buffers int) (elemSec, edgeSec float64) {
 // Query auto-planning.
 //
 // The serving layer historically took N1 (graph parts) and N2 (phase
-// width) as static flags, which is wrong twice over in a fleet: the
-// right N2 depends on the graph's size (the DP streams nSlots×N2
-// element buffers — too wide thrashes the cache and coarsens
-// cancellation, too narrow wastes sweep overhead), and the right grain
-// depends on how loaded the replica is (a busy worker pool wants
-// finer phases so cancellation and batching compose). AutoPlanN2 and
-// AutoPlanN1 are pure functions of those inputs — deliberately NOT of
-// the calibrated constants above, so every replica of a fleet picks
-// the same plan for the same query and cached results stay shareable.
-// Answers are independent of both knobs (pinned by the equivalence
-// suites); only performance is at stake.
-
-// autoPlanStateBudget is the target bytes of per-lane DP state an
-// auto-planned phase may stream (nSlots × N2 × 2-byte elements ≲
-// budget). 8 MiB keeps the working set within a typical L2+L3 share.
-const autoPlanStateBudget = 8 << 20
-
-// AutoPlanN2 picks the iteration-batch width for a query on a graph
-// with the given vertex count. load is the replica's current queued-
-// queries-per-worker ratio rounded down (0 = idle); each load step
-// halves the state budget so a busy replica runs finer-grained phases.
-// The result is a power of two in [16, 256], additionally capped at
-// 2^k like Config.withDefaults caps N2.
-func AutoPlanN2(vertices, k, load int) int {
-	if vertices < 1 {
-		vertices = 1
-	}
-	if load < 0 {
-		load = 0
-	}
-	if load > 3 {
-		load = 3 // quantized: beyond 3× queue pressure, no finer grain
-	}
-	budget := int64(autoPlanStateBudget) >> uint(load)
-	n2 := 256
-	for n2 > 16 && int64(vertices)*2*int64(n2) > budget {
-		n2 >>= 1
-	}
-	if k > 0 && k < 31 {
-		if total := 1 << uint(k); n2 > total {
-			n2 = total
-		}
-	}
-	return n2
-}
+// width) as static flags. N2 is no longer planned here: the phase
+// width is mld.PlanN2's, a byte budget on the DP state (slabs × n ×
+// lanes × N2 two-byte elements) that Config.withDefaults applies to
+// every run, auto-tuned or not. The earlier planner in this file
+// capped the width at 256 for fear of cache thrash and narrowed it
+// under load; a measured N2 sweep is monotone with no cliff
+// (docs/PERFORMANCE.md, "Table fetch"), and finer phases cost 2–3× the
+// CPU per query exactly when CPU is scarce, so both rules are gone.
+// What remains is the grain: AutoPlanN1 is a pure function of the
+// graph and world shape — deliberately NOT of the calibrated constants
+// above, nor of load — so every replica of a fleet picks the same plan
+// for the same query. Answers are independent of both knobs (pinned by
+// the equivalence suites); only performance is at stake.
 
 // AutoPlanN1 picks the graph-part count for a distributed query on a
 // world of the given rank count: the largest divisor of ranks that

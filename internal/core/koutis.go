@@ -38,7 +38,7 @@ func runPathKoutis(world *comm.Comm, g *graph.Graph, cfg Config) (bool, error) {
 	if cfg.K > g.NumVertices() {
 		return false, nil
 	}
-	p, err := buildPlan(world, g, cfg)
+	p, err := buildPlan(world, g, cfg, 1, mld.PathSlabs)
 	if err != nil {
 		return false, err
 	}

@@ -24,7 +24,7 @@ func RunMotif(world *comm.Comm, g *graph.Graph, spec *mld.MotifSpec, cfg Config)
 	if cfg.K > g.NumVertices() {
 		return false, nil
 	}
-	p, err := buildPlan(world, g, cfg)
+	p, err := buildPlan(world, g, cfg, 1, mld.LevelSlabs(cfg.K))
 	if err != nil {
 		return false, err
 	}
@@ -60,9 +60,6 @@ func RunMotif(world *comm.Comm, g *graph.Graph, spec *mld.MotifSpec, cfg Config)
 // cancellation point (see syncStep).
 func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 	n2 := p.cfg.N2
-	if total := uint64(1) << uint(k); uint64(n2) > total {
-		n2 = int(total)
-	}
 	iters := uint64(1) << uint(k)
 	numPhases := (iters + uint64(n2) - 1) / uint64(n2)
 	steps := (numPhases + uint64(p.groups) - 1) / uint64(p.groups)

@@ -36,7 +36,6 @@ func (p *plan) pathRoundLocal(a *mld.Assignment) (gf.Elem, error) {
 	defer p.arena.Put(base, prev, cur)
 	one := mld.CachedMulTable(1)
 	var total gf.Elem
-	var skipped int64
 
 	for s := uint64(0); s < steps; s++ {
 		ph := s*uint64(p.groups) + uint64(p.gid)
@@ -70,16 +69,11 @@ func (p *plan) pathRoundLocal(a *mld.Assignment) (gf.Elem, error) {
 					}
 					for _, u := range p.g.Neighbors(v) {
 						su := int(p.slotOf[u])
-						src := prev[su*n2 : su*n2+nb]
-						if !gf.AnyNonZero(src) {
-							skipped++
-							continue
-						}
 						t := one
 						if !p.cfg.NoFingerprints {
 							t = a.EdgeTable(u, v, j)
 						}
-						gf.MulSliceTable16(dst, src, t)
+						gf.MulSliceTable16(dst, prev[su*n2:su*n2+nb], t)
 					}
 					gf.HadamardInto(dst, dst, base[sv*n2:sv*n2+nb])
 				}
@@ -107,11 +101,9 @@ func (p *plan) pathRoundLocal(a *mld.Assignment) (gf.Elem, error) {
 		// Algorithm 2 line 12: all groups synchronize between batches
 		// (and, with a context, agree on cancellation).
 		if err := p.syncStep(); err != nil {
-			p.rec.Add(obs.CellsSkipped, skipped)
 			return 0, err
 		}
 		p.reportProgress(s, numPhases)
 	}
-	p.rec.Add(obs.CellsSkipped, skipped)
 	return total, nil
 }

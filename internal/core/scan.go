@@ -42,7 +42,7 @@ func RunScan(world *comm.Comm, g *graph.Graph, cfg ScanConfig) ([][]bool, error)
 	for j := 1; j <= cfg.K && j <= g.NumVertices(); j++ {
 		sub := cfg.Config
 		sub.K = j
-		p, err := buildPlan(world, g, sub)
+		p, err := buildPlan(world, g, sub, 1, mld.WeightSlabs(j, cfg.ZMax))
 		if err != nil {
 			return nil, err
 		}
@@ -81,9 +81,6 @@ func RunScan(world *comm.Comm, g *graph.Graph, cfg ScanConfig) ([][]bool, error)
 // syncStep).
 func (p *plan) scanRoundLocal(a *mld.Assignment, j int, zmax int64) ([]gf.Elem, error) {
 	n2 := p.cfg.N2
-	if total := uint64(1) << uint(j); uint64(n2) > total {
-		n2 = int(total)
-	}
 	iters := uint64(1) << uint(j)
 	numPhases := (iters + uint64(n2) - 1) / uint64(n2)
 	steps := (numPhases + uint64(p.groups) - 1) / uint64(p.groups)

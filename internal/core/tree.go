@@ -19,7 +19,7 @@ func RunTree(world *comm.Comm, g *graph.Graph, tpl *graph.Template, cfg Config) 
 	if cfg.K > g.NumVertices() {
 		return false, nil
 	}
-	p, err := buildPlan(world, g, cfg)
+	p, err := buildPlan(world, g, cfg, 1, mld.LevelSlabs(cfg.K))
 	if err != nil {
 		return false, err
 	}
@@ -77,7 +77,6 @@ func (p *plan) treeRoundLocal(d *graph.Decomposition, a *mld.Assignment) (gf.Ele
 	one := mld.CachedMulTable(1)
 	acc := make([]gf.Elem, n2)
 	var total gf.Elem
-	var skipped int64
 
 	for s := uint64(0); s < steps; s++ {
 		ph := s*uint64(p.groups) + uint64(p.gid)
@@ -115,16 +114,11 @@ func (p *plan) treeRoundLocal(d *graph.Decomposition, a *mld.Assignment) (gf.Ele
 					}
 					for _, u := range p.g.Neighbors(v) {
 						su := int(p.slotOf[u])
-						src := right[su*n2 : su*n2+nb]
-						if !gf.AnyNonZero(src) {
-							skipped++
-							continue
-						}
 						t := one
 						if !p.cfg.NoFingerprints {
 							t = a.EdgeTable(u, v, j)
 						}
-						gf.MulSliceTable16(av, src, t)
+						gf.MulSliceTable16(av, right[su*n2:su*n2+nb], t)
 					}
 					gf.HadamardInto(dstAll[sv*n2:sv*n2+nb], left[sv*n2:sv*n2+nb], av)
 				}
@@ -147,11 +141,9 @@ func (p *plan) treeRoundLocal(d *graph.Decomposition, a *mld.Assignment) (gf.Ele
 			p.endSpan()
 		}
 		if err := p.syncStep(); err != nil {
-			p.rec.Add(obs.CellsSkipped, skipped)
 			return 0, err
 		}
 		p.reportProgress(s, numPhases)
 	}
-	p.rec.Add(obs.CellsSkipped, skipped)
 	return total, nil
 }

@@ -103,6 +103,26 @@ func packNibbleLUT16(nt *[64]Elem, lut *[128]byte) {
 	}
 }
 
+// unpackNibbleLUT16 is the inverse of packNibbleLUT16.
+func unpackNibbleLUT16(lut *[128]byte, nt *[64]Elem) {
+	for j := 0; j < 4; j++ {
+		for n := 0; n < 16; n++ {
+			nt[j*16+n] = Elem(lut[j*32+n]) | Elem(lut[j*32+16+n])<<8
+		}
+	}
+}
+
+// axpyNibble is the portable table axpy for slices too short to
+// amortize fusing byte tables: four independent lookups into the
+// 128-byte nibble tables per element, no branches. dst and src must
+// have equal, nonzero length.
+func axpyNibble(dst, src []Elem, nt *[64]Elem) {
+	_ = dst[len(src)-1]
+	for i, s := range src {
+		dst[i] ^= nt[s&15] ^ nt[16+((s>>4)&15)] ^ nt[32+((s>>8)&15)] ^ nt[48+(s>>12)]
+	}
+}
+
 // axpyByteFused is the portable table axpy: two independent 512-byte
 // L1 lookups per element, no branches. dst and src must have equal,
 // nonzero length.
@@ -155,15 +175,16 @@ const (
 )
 
 // MulTable holds the per-constant nibble-split tables for the GF(2^16)
-// axpy kernel, in the representation the active code path consumes:
-// the 128-byte VPSHUFB LUT on the AVX2 path, or the byte-fused
-// 256-entry pair on the portable path. Build one with Init (or
-// NewMulTable) for constants reused across many slices — the
-// coefficient-table cache in internal/mld does exactly this.
+// axpy kernel: the four 16-entry tables in the 128-byte VPSHUFB layout,
+// which the AVX2 path consumes as is and the portable path unpacks (and,
+// for long slices, fuses into byte tables) on the stack. Build one with
+// Init (or NewMulTable) for constants reused across many slices — the
+// coefficient-table store in internal/mld does exactly this, as one flat
+// [65536]MulTable, which is why the type is exactly two cache lines and
+// holds no pointer: the store costs the garbage collector nothing to
+// scan and does not count toward its heap goal.
 type MulTable struct {
-	c   Elem
-	lut [128]byte  // SIMD shuffle layout (see packNibbleLUT16)
-	b   *[512]Elem // byte-fused tables; nil while the SIMD path is active
+	lut [128]byte // packNibbleLUT16 layout; entry 1 of nibble 0 is c·1 = c
 }
 
 // NewMulTable returns a built multiplication table for c.
@@ -175,24 +196,17 @@ func NewMulTable(c Elem) *MulTable {
 
 // Init (re)builds the table for c.
 func (t *MulTable) Init(c Elem) {
-	t.c = c
 	var nt [64]Elem
 	buildNibbleTables(nt[:], c, Mul)
-	if haveAsm {
-		packNibbleLUT16(&nt, &t.lut)
-		return
-	}
-	if t.b == nil {
-		t.b = new([512]Elem)
-	}
-	fuseByteTables(&nt, t.b)
+	packNibbleLUT16(&nt, &t.lut)
 }
 
-// C returns the constant the table was built for.
-func (t *MulTable) C() Elem { return t.c }
+// C returns the constant the table was built for (0 for a table never
+// built): the table's own entry for c·1.
+func (t *MulTable) C() Elem { return Elem(t.lut[1]) | Elem(t.lut[17])<<8 }
 
 // At returns c·s, the scalar single-element view of the table.
-func (t *MulTable) At(s Elem) Elem { return Mul(t.c, s) }
+func (t *MulTable) At(s Elem) Elem { return Mul(t.C(), s) }
 
 // MulTable8 is MulTable over GF(2^8).
 type MulTable8 struct {
@@ -265,18 +279,27 @@ func MulSliceTable16(dst, src []Elem, t *MulTable) {
 	if len(dst) != len(src) {
 		panic("gf: MulSliceTable16 length mismatch")
 	}
-	if t.c == 0 || len(src) == 0 {
+	c := t.C()
+	if c == 0 || len(src) == 0 {
 		return
 	}
 	if haveAsm {
 		if len(src) >= 16 {
-			axpyLUT16(dst, src, &t.lut, t.c)
+			axpyLUT16(dst, src, &t.lut, c)
 		} else {
-			mulSliceScalar16(dst, src, t.c)
+			mulSliceScalar16(dst, src, c)
 		}
 		return
 	}
-	axpyByteFused(dst, src, t.b)
+	var nt [64]Elem
+	unpackNibbleLUT16(&t.lut, &nt)
+	if len(src) >= mulTableMinLenFuse16 {
+		var b [512]Elem
+		fuseByteTables(&nt, &b)
+		axpyByteFused(dst, src, &b)
+		return
+	}
+	axpyNibble(dst, src, &nt)
 }
 
 // MulSlice8 is MulSlice16 over GF(2^8): dst[i] ^= c·src[i]. Used by the

@@ -102,12 +102,19 @@ func TestKernelMulSlice16BothPaths(t *testing.T) {
 func TestMulSliceTable16MatchesScalar(t *testing.T) {
 	withBothPaths(t, func(t *testing.T) {
 		r := rng.New(102)
+		// 0–129 covers the scalar, SIMD-tail and portable nibble forms;
+		// the lengths past mulTableMinLenFuse16 cover the portable
+		// path's stack-fused byte tables.
+		lengths := []int{mulTableMinLenFuse16, mulTableMinLenFuse16 + 1, 600}
 		for n := 0; n <= 129; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
 			c := Elem(r.Uint32())
 			if n%17 == 0 {
 				c = 0
 			}
-			tab := NewMulTable(c) // built under the path being tested
+			tab := NewMulTable(c)
 			src := randSlice16(r, n)
 			dst := randSlice16(r, n)
 			want := append([]Elem(nil), dst...)

@@ -207,14 +207,14 @@ func DetectPathBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResu
 	}
 	n := g.NumVertices()
 	sts, kmax, _ := batchStates(lanes, n, res, opt, func(l BatchLane) (int, error) { return l.K, nil })
-	n2 := opt.batch(kmax)
+	n2 := PlanN2(opt.N2, n, kmax, len(sts), PathSlabs)
 
 	gr := &famGroup{fam: &pathFamily{}, sts: sts}
 	batchErr := runGroups(g, []*famGroup{gr}, n2, opt)
 	for _, st := range sts {
 		res[st.idx] = LaneResult{
 			Found: st.found, Rounds: st.roundsRun, Phases: st.phases,
-			TotalPhases: int64((st.iters + uint64(n2) - 1) / uint64(n2)),
+			TotalPhases: PlannedPhases(st.k, n2),
 			Err:         st.err,
 		}
 	}

@@ -48,9 +48,13 @@ func ScanTableBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResul
 		}
 		return l.K, nil
 	})
+	var zmaxAll int64
 	for _, st := range sts {
 		if weightErr != nil {
 			st.done, st.err = true, weightErr
+		}
+		if st.ZMax > zmaxAll {
+			zmaxAll = st.ZMax
 		}
 		st.scan = &scanExt{nz: int(st.ZMax) + 1}
 		st.scan.feas = make([][]bool, st.k+1)
@@ -58,6 +62,10 @@ func ScanTableBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResul
 			st.scan.feas[j] = make([]bool, st.scan.nz)
 		}
 	}
+
+	// The width of the size-j pass, planned for the whole batch at its
+	// widest weight axis (lanes keep private strata; this bounds them).
+	width := func(j int) int { return PlanN2(opt.N2, n, j, len(sts), WeightSlabs(j, zmaxAll)) }
 
 	var batchErr error
 	for j := 1; j <= kmax && j <= n; j++ {
@@ -77,7 +85,7 @@ func ScanTableBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResul
 			continue
 		}
 		gr := &famGroup{fam: &scanFamily{j: j, maxw: maxw}, sts: grpSts}
-		if err := runGroups(g, []*famGroup{gr}, opt.batch(j), opt); err != nil {
+		if err := runGroups(g, []*famGroup{gr}, width(j), opt); err != nil {
 			batchErr = err
 			break
 		}
@@ -90,10 +98,9 @@ func ScanTableBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResul
 		if st.err != nil {
 			table = nil // match ScanTable: an aborted call yields no table
 		}
-		iters := uint64(1) << uint(st.k)
 		res[st.idx] = LaneResult{
 			Table: table, Rounds: st.roundsRun,
-			TotalPhases: int64((iters + uint64(opt.batch(st.k)) - 1) / uint64(opt.batch(st.k))),
+			TotalPhases: PlannedPhases(st.k, width(st.k)),
 			Phases:      st.phases,
 			Err:         st.err,
 		}

@@ -59,7 +59,7 @@ func DetectTreeBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResu
 		}
 		return l.Template.K(), nil
 	})
-	n2 := opt.batch(kmax)
+	n2 := PlanN2(opt.N2, n, kmax, len(sts), LevelSlabs(kmax))
 
 	groups := make([]*famGroup, 0, len(sts))
 	byDigest := make(map[uint64]*famGroup)
@@ -78,7 +78,7 @@ func DetectTreeBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResu
 	for _, st := range sts {
 		res[st.idx] = LaneResult{
 			Found: st.found, Rounds: st.roundsRun, Phases: st.phases,
-			TotalPhases: int64((st.iters + uint64(n2) - 1) / uint64(n2)),
+			TotalPhases: PlannedPhases(st.k, n2),
 			Err:         st.err,
 		}
 	}

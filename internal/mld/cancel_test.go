@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,4 +81,73 @@ func TestDetectCancelNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// countdownCtx reports cancellation from its (left+1)-th Err call on —
+// a deterministic stand-in for "the deadline fired mid-phase".
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func countdown(calls int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(calls)
+	return c
+}
+
+// TestCancelLandsBetweenLevels: with the whole sweep planned as ONE
+// phase, a cancellation that fires after the phase has begun still
+// stops it at the next DP level — cancel latency is a level, not a
+// phase, however wide the planner makes phases — and the unfinished
+// phase is not counted.
+func TestCancelLandsBetweenLevels(t *testing.T) {
+	g := graph.Path(40)
+	const k = 8
+	if n2 := PlanN2(0, g.NumVertices(), k, 1, PathSlabs); n2 != 1<<k {
+		t.Fatalf("planned width %d: the test wants a single-phase sweep", n2)
+	}
+	// Whole-run context: the round check, the phase check and two level
+	// checks pass; the third level sees the cancel.
+	rec := obs.NewRecorder(0, nil)
+	progressed := false
+	_, err := DetectPath(g, k, Options{Rounds: 1, Ctx: countdown(4), Obs: rec,
+		Progress: func(int64) { progressed = true }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("DetectPath: got %v, want context.Canceled from inside the phase", err)
+	}
+	snap := rec.Snapshot()
+	if lv := snap.Counter(obs.Levels); lv != 2 {
+		t.Fatalf("ran %d levels before stopping, want 2", lv)
+	}
+	if ph := snap.Counter(obs.Phases); ph != 0 || progressed {
+		t.Fatalf("unfinished phase was counted (phases=%d, progress=%v)", ph, progressed)
+	}
+
+	// Per-lane context: the lane is masked out mid-phase with zero
+	// finished phases; its batch-mates run to their solo answers.
+	lanes := []BatchLane{
+		{K: k, Seed: 1, Rounds: 1},
+		{K: k, Seed: 2, Rounds: 1, Ctx: countdown(3)}, // phase check + two level checks
+		{K: k - 2, Seed: 3, Rounds: 1},
+	}
+	res, err := DetectPathBatch(g, lanes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[1].Err, context.Canceled) || res[1].Phases != 0 || res[1].Found {
+		t.Fatalf("cancelled lane = %+v, want context.Canceled with no finished phase", res[1])
+	}
+	for _, i := range []int{0, 2} {
+		if res[i].Err != nil || !res[i].Found || res[i].Phases != res[i].TotalPhases {
+			t.Fatalf("surviving lane %d = %+v, want found with a complete sweep", i, res[i])
+		}
+	}
 }

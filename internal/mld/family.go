@@ -270,18 +270,31 @@ func sweepGroupsFrom(g *graph.Graph, groups []*famGroup, n2 int, opt Options, do
 			e := &groupRun{g: g, gr: gr, opt: opt, n2: n2, q0: q0, live: gr.phaseLive, skipped: &skipped}
 			count := gr.fam.CountPhases()
 			if count {
-				for _, st := range gr.phaseLive {
-					st.phases++
-				}
 				opt.obsSpan(obs.PhaseName, int(q0)/n2, "phase")
-				opt.Obs.Add(obs.Phases, 1)
 			}
 			gr.fam.InitRow(e)
+			// One cancellation point per DP level, so the latency of a
+			// cancel or deadline does not grow with the phase width.
 			for step, nT := 1, gr.fam.Transfers(e); step <= nT; step++ {
+				if err := opt.ctxErr(); err != nil {
+					if count {
+						opt.obsEnd()
+					}
+					return err
+				}
+				if e.dropCancelled(); len(e.live) == 0 {
+					break
+				}
 				gr.fam.Transfer(e, step)
 			}
 			gr.fam.Finalize(e)
 			if count {
+				// Only finished phases count: Phases < TotalPhases is the
+				// proof of an unfinished sweep, mid-phase cancels included.
+				for _, st := range e.live {
+					st.phases++
+				}
+				opt.Obs.Add(obs.Phases, 1)
 				opt.obsEnd()
 				*done++
 				if opt.Progress != nil {
@@ -294,6 +307,22 @@ func sweepGroupsFrom(g *graph.Graph, groups []*famGroup, n2 int, opt Options, do
 		}
 	}
 	return nil
+}
+
+// dropCancelled masks out of the running phase every live lane whose
+// own context has expired: the lane resolves to its context error and
+// the rest of the group runs on (its slab columns are simply no longer
+// updated or folded).
+func (e *groupRun) dropCancelled() {
+	kept := e.live[:0]
+	for _, st := range e.live {
+		if err := st.ctxErr(); err != nil {
+			st.done, st.err = true, err
+			continue
+		}
+		kept = append(kept, st)
+	}
+	e.live = kept
 }
 
 // addSkipped folds a worker's dead-cell count into the sweep counter.

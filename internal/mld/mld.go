@@ -96,13 +96,13 @@ func (v Variant) String() string {
 const MaxK = 26
 
 // Options configures a detection run. The zero value is usable: seed 0,
-// ε = 0.05, derived round count, GF(2^16) variant, batch 128.
+// ε = 0.05, derived round count, GF(2^16) variant, planned phase width.
 type Options struct {
 	Seed    uint64
 	Epsilon float64 // target failure probability; default 0.05
 	Rounds  int     // explicit round count; 0 derives from Epsilon
 	Variant Variant
-	N2      int // iteration batch width; 0 defaults to 128 (capped at 2^k)
+	N2      int // iteration batch (phase) width; 0 → planned from the query's shape (PlanN2); capped at 2^k
 	Workers int // shared-memory workers for the DP vertex loops; 0/1 = serial
 
 	// NoFingerprints disables the per-(edge, level) coefficients.
@@ -135,8 +135,8 @@ type Options struct {
 	// iterations. Nil (the default) means run to completion with zero
 	// per-batch overhead. The serving layer (internal/serve) sets it to
 	// the per-request deadline context so abandoned queries stop
-	// burning CPU; cancellation granularity is one iteration batch
-	// (N2 iterations × one DP level sweep).
+	// burning CPU; cancellation granularity is one DP level of one
+	// iteration batch, so it does not coarsen as phases widen.
 	Ctx context.Context
 
 	// Progress, when non-nil, is invoked after each completed
@@ -181,17 +181,6 @@ func (o Options) RoundsFor(k int) int {
 		r = 1
 	}
 	return r
-}
-
-func (o Options) batch(k int) int {
-	n2 := o.N2
-	if n2 <= 0 {
-		n2 = 128
-	}
-	if total := 1 << uint(k); n2 > total {
-		n2 = total
-	}
-	return n2
 }
 
 // obsSpan opens a recorder span named by one of obs's cached helpers,

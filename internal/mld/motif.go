@@ -285,7 +285,7 @@ func DetectMotif(g *graph.Graph, spec *MotifSpec, opt Options) (bool, error) {
 	st := soloLane(k, opt)
 	st.Motif = spec
 	gr := &famGroup{fam: &motifFamily{g: g}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, opt.batch(k), opt); err != nil {
+	if err := runGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -314,14 +314,14 @@ func DetectMotifBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneRes
 		}
 		return l.Motif.K, nil
 	})
-	n2 := opt.batch(kmax)
+	n2 := PlanN2(opt.N2, n, kmax, len(sts), LevelSlabs(kmax))
 
 	gr := &famGroup{fam: &motifFamily{g: g}, sts: sts}
 	batchErr := runGroups(g, []*famGroup{gr}, n2, opt)
 	for _, st := range sts {
 		res[st.idx] = LaneResult{
 			Found: st.found, Rounds: st.roundsRun, Phases: st.phases,
-			TotalPhases: int64((st.iters + uint64(n2) - 1) / uint64(n2)),
+			TotalPhases: PlannedPhases(st.k, n2),
 			Err:         st.err,
 		}
 	}
@@ -337,7 +337,7 @@ func motifRound(g *graph.Graph, spec *MotifSpec, a *Assignment, opt Options) (gf
 	}
 	st := &laneState{BatchLane: BatchLane{K: a.K, Motif: spec}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
 	gr := &famGroup{fam: &motifFamily{g: g}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(a.K), opt); err != nil {
+	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -94,7 +94,6 @@ func (f *pathFamily) Transfer(e *groupRun, step int) {
 	opt.obsSpan(obs.LevelName, j, "level")
 	opt.obsLevel(levelElems(g) * lvlWidth)
 	opt.parallelVertices(g, func(lo, hi int32) {
-		var sk int64
 		for i := lo; i < hi; i++ {
 			row := int(i) * stride
 			for _, sp := range spans {
@@ -106,16 +105,11 @@ func (f *pathFamily) Transfer(e *groupRun, step int) {
 			for _, u := range g.Neighbors(i) {
 				urow := int(u) * stride
 				for _, st := range lvl {
-					src := f.prev[urow+st.off : urow+st.off+st.nb]
-					if !gf.AnyNonZero(src) {
-						sk++ // dead cell: all-zero vector contributes nothing
-						continue
-					}
 					t := one
 					if !opt.NoFingerprints {
 						t = st.a.EdgeTable(u, i, j)
 					}
-					gf.MulSliceTable16(f.cur[row+st.off:row+st.off+st.nb], src, t)
+					gf.MulSliceTable16(f.cur[row+st.off:row+st.off+st.nb], f.prev[urow+st.off:urow+st.off+st.nb], t)
 				}
 			}
 			// P(i,j) = x_i · Σ_u r·P(u,j-1)
@@ -123,7 +117,6 @@ func (f *pathFamily) Transfer(e *groupRun, step int) {
 				gf.HadamardInto(f.cur[row+sp.lo:row+sp.hi], f.cur[row+sp.lo:row+sp.hi], f.base[row+sp.lo:row+sp.hi])
 			}
 		}
-		e.addSkipped(sk)
 	})
 	opt.obsEnd()
 	f.prev, f.cur = f.cur, f.prev
@@ -178,7 +171,7 @@ func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
 	}
 	st := soloLane(k, opt)
 	gr := &famGroup{fam: &pathFamily{}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, opt.batch(k), opt); err != nil {
+	if err := runGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), k, 1, PathSlabs), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -194,7 +187,7 @@ func pathRound(g *graph.Graph, a *Assignment, opt Options) (gf.Elem, error) {
 	}
 	st := &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
 	gr := &famGroup{fam: &pathFamily{}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(a.K), opt); err != nil {
+	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), a.K, 1, PathSlabs), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

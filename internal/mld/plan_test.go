@@ -1,0 +1,220 @@
+package mld
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/midas-hpc/midas/internal/gf"
+	"github.com/midas-hpc/midas/internal/graph"
+)
+
+func TestPlanN2(t *testing.T) {
+	for _, c := range []struct {
+		name                        string
+		explicit, n, k, lanes, slab int
+		want                        int
+	}{
+		{"solo-deep shape", 0, 750, 11, 1, PathSlabs, 512},
+		{"dist-r2 path shape", 0, 4000, 8, 1, PathSlabs, 128},
+		{"dist-r2 motif shape", 0, 4000, 8, 1, LevelSlabs(8), 128},
+		{"burst-batch shape: 12 lanes hold the floor", 0, 1000, 9, 12, PathSlabs, 128},
+		{"kinds-wide shape: 2^k caps", 0, 10000, 7, 1, PathSlabs, 128},
+		{"floor on a huge graph", 0, 5_000_000, 18, 1, PathSlabs, 128},
+		{"cap 2^k below the floor", 0, 100, 5, 1, PathSlabs, 32},
+		{"tiny graph runs the sweep in one phase", 0, 20, 10, 1, PathSlabs, 1024},
+		{"explicit wins below the floor", 8, 750, 11, 1, PathSlabs, 8},
+		{"explicit wins above the budget", 2048, 100000, 11, 64, PathSlabs, 2048},
+		{"explicit is still capped at 2^k", 4096, 750, 11, 1, PathSlabs, 2048},
+	} {
+		if got := PlanN2(c.explicit, c.n, c.k, c.lanes, c.slab); got != c.want {
+			t.Errorf("%s: PlanN2(%d, %d, %d, %d, %d) = %d, want %d",
+				c.name, c.explicit, c.n, c.k, c.lanes, c.slab, got, c.want)
+		}
+	}
+
+	// Planned widths are powers of two inside [min(128, 2^k), 2^k], fit
+	// the budget above the floor, and never widen as the state grows.
+	for k := 1; k <= 20; k += 3 {
+		total := 1 << uint(k)
+		for _, slabs := range []int{PathSlabs, LevelSlabs(k), WeightSlabs(k, 8)} {
+			prevN := total
+			for n := 1; n <= 1<<22; n *= 4 {
+				got := PlanN2(0, n, k, 1, slabs)
+				if got&(got-1) != 0 || got > total || got < min(minPhaseWidth, total) {
+					t.Fatalf("PlanN2(0, %d, %d, 1, %d) = %d: not a power of two in range", n, k, slabs, got)
+				}
+				if got > minPhaseWidth && int64(slabs)*int64(n)*int64(got)*2 > phaseStateBudget {
+					t.Fatalf("PlanN2(0, %d, %d, 1, %d) = %d busts the budget", n, k, slabs, got)
+				}
+				if got > prevN {
+					t.Fatalf("k=%d slabs=%d: width grew %d → %d as n grew to %d", k, slabs, prevN, got, n)
+				}
+				prevN = got
+				prevL := got
+				for lanes := 2; lanes <= MaxBatchLanes; lanes *= 2 {
+					gl := PlanN2(0, n, k, lanes, slabs)
+					if gl > prevL {
+						t.Fatalf("k=%d n=%d: width grew %d → %d at %d lanes", k, n, prevL, gl, lanes)
+					}
+					prevL = gl
+				}
+			}
+		}
+	}
+	if got := PlannedPhases(11, 512); got != 4 {
+		t.Errorf("PlannedPhases(11, 512) = %d, want 4", got)
+	}
+	if got := PlannedPhases(5, 24); got != 2 {
+		t.Errorf("PlannedPhases(5, 24) = %d, want 2 (short final phase)", got)
+	}
+}
+
+// sweepTotals runs one engine sweep of the given lanes (assignments
+// preset) at width n2 and returns each lane's totals: the scan strata
+// for scan lanes, the single field total otherwise.
+func sweepTotals(t *testing.T, g *graph.Graph, fam Family, sts []*laneState, n2 int) [][]gf.Elem {
+	t.Helper()
+	gr := &famGroup{fam: fam, sts: sts, live: sts}
+	if err := sweepGroups(g, []*famGroup{gr}, n2, Options{Arena: NewArena()}); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]gf.Elem, len(sts))
+	for i, st := range sts {
+		if st.scan != nil {
+			out[i] = append([]gf.Elem(nil), st.scan.totals...)
+		} else {
+			out[i] = []gf.Elem{st.total}
+		}
+	}
+	return out
+}
+
+// TestTotalsIndependentOfPhaseWidth pins the planner's license: the
+// per-round field totals — not just the yes/no they imply — are
+// byte-identical at N2 = 8, 128, the planned width and 2^k, for every
+// family, solo and as a three-lane batch.
+func TestTotalsIndependentOfPhaseWidth(t *testing.T) {
+	labeled := func(n, m int, seed uint64) *graph.Graph {
+		g := graph.RandomGNM(n, m, seed)
+		labels := make([]int32, n)
+		weights := make([]int64, n)
+		for v := range labels {
+			labels[v] = int32(v % 3)
+			weights[v] = int64(v % 2)
+		}
+		g.SetLabels(labels)
+		g.SetWeights(weights)
+		return g
+	}
+	gSmall := labeled(60, 150, 12)
+	// A 9-vertex tree on n = 500 plans 256: distinct from 8, 128 and 2^k.
+	gWide := labeled(500, 1000, 11)
+	tpl, tplWide := graph.BinaryTreeTemplate(7), graph.BinaryTreeTemplate(9)
+	spec := &MotifSpec{K: 6, Counts: map[int32]int{0: 2, 1: 1}}
+	const scanJ, scanZ = 6, 3
+
+	lane := func(a *Assignment) *laneState {
+		return &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
+	}
+	pathLane := func(g *graph.Graph, seed uint64) *laneState {
+		return lane(NewPathAssignment(g.NumVertices(), 9, seed, 0))
+	}
+	for _, f := range []struct {
+		name  string
+		g     *graph.Graph
+		lanes int
+		slabs int
+		fam   func(g *graph.Graph) Family
+		lane  func(g *graph.Graph, seed uint64) *laneState
+	}{
+		{"tree/planned-256", gWide, 1, LevelSlabs(9), func(*graph.Graph) Family { return &treeFamily{d: tplWide.Decompose()} },
+			func(g *graph.Graph, seed uint64) *laneState {
+				return lane(NewTreeAssignment(g.NumVertices(), 9, seed, 0))
+			}},
+		{"path", gSmall, 3, PathSlabs, func(*graph.Graph) Family { return &pathFamily{} }, pathLane},
+		{"tree", gSmall, 3, LevelSlabs(7), func(*graph.Graph) Family { return &treeFamily{d: tpl.Decompose()} },
+			func(g *graph.Graph, seed uint64) *laneState {
+				return lane(NewTreeAssignment(g.NumVertices(), 7, seed, 0))
+			}},
+		{"motif", gSmall, 3, LevelSlabs(6), func(g *graph.Graph) Family { return &motifFamily{g: g} },
+			func(g *graph.Graph, seed uint64) *laneState {
+				st := lane(NewMotifAssignment(g, spec, seed, 0))
+				st.Motif = spec
+				return st
+			}},
+		{"scanstat", gSmall, 3, WeightSlabs(scanJ, scanZ), func(g *graph.Graph) Family { return &scanFamily{j: scanJ, maxw: scanMaxWeight(g)} },
+			func(g *graph.Graph, seed uint64) *laneState {
+				st := lane(NewScanAssignment(g.NumVertices(), scanJ, seed, 0))
+				st.ZMax = scanZ
+				st.scan = &scanExt{nz: scanZ + 1}
+				return st
+			}},
+	} {
+		for lanes := 1; lanes <= f.lanes; lanes += 2 {
+			t.Run(fmt.Sprintf("%s/lanes=%d", f.name, lanes), func(t *testing.T) {
+				n, k := f.g.NumVertices(), f.lane(f.g, 0).k
+				planned := PlanN2(0, n, k, lanes, f.slabs)
+				if f.g == gWide && planned != 256 {
+					t.Fatalf("wide instance plans %d, want 256 (distinct from 8, 128 and 2^k)", planned)
+				}
+				var want [][]gf.Elem
+				for _, n2 := range []int{8, 128, planned, 1 << uint(k)} {
+					sts := make([]*laneState, lanes)
+					for i := range sts {
+						sts[i] = f.lane(f.g, uint64(40+i))
+					}
+					got := sweepTotals(t, f.g, f.fam(f.g), sts, PlanN2(n2, n, k, lanes, f.slabs))
+					if want == nil {
+						want = got
+						nonzero := false
+						for _, row := range got {
+							for _, v := range row {
+								nonzero = nonzero || v != 0
+							}
+						}
+						if !nonzero {
+							t.Fatalf("all totals zero at N2=%d: the instance pins nothing", n2)
+						}
+					} else if !reflect.DeepEqual(got, want) {
+						t.Fatalf("N2=%d totals %v differ from N2=8 totals %v", n2, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+var sweepSink gf.Elem
+
+// BenchmarkPathSweepN2 times one full k-path sweep at the shape of the
+// wall-clock benchmark's solo-deep workload (n = 750, m = n·ln n,
+// k = 11) at the pre-planner default width, the planned width and one
+// single phase — the per-phase table-fetch cost the planner amortizes
+// (docs/PERFORMANCE.md, "Table fetch"). Run via `make bench`.
+func BenchmarkPathSweepN2(b *testing.B) {
+	const n, k = 750, 11
+	g := graph.RandomNLogN(n, 1)
+	a := NewPathAssignment(n, k, 1, 0)
+	arena := NewArena()
+	// A long-running process has met every coefficient, in no order
+	// related to this assignment's edge walk; build them all, scrambled,
+	// so first-use order cannot flatter the sweep.
+	for i := 0; i < 1<<16; i++ {
+		CachedMulTable(gf.Elem(i * 40503))
+	}
+	for _, w := range []struct {
+		name string
+		n2   int
+	}{{"128", 128}, {"planned", 0}, {"2^k", 1 << k}} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				total, err := pathRound(g, a, Options{N2: w.n2, Arena: arena})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sweepSink = total
+			}
+		})
+	}
+}

@@ -241,7 +241,8 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error)
 		st.iters = uint64(1) << uint(j)
 		st.roundsTotal = opt.RoundsFor(j)
 		gr := &famGroup{fam: &scanFamily{j: j, maxw: maxw}, sts: []*laneState{st}}
-		if err := runGroups(g, []*famGroup{gr}, opt.batch(j), opt); err != nil {
+		n2 := PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax))
+		if err := runGroups(g, []*famGroup{gr}, n2, opt); err != nil {
 			return nil, err
 		}
 	}
@@ -291,7 +292,7 @@ func scanRound(g *graph.Graph, j int, zmax int64, a *Assignment, opt Options) ([
 	st := &laneState{BatchLane: BatchLane{K: j, ZMax: zmax}, k: j, iters: uint64(1) << uint(j), a: a}
 	st.scan = &scanExt{nz: int(zmax) + 1}
 	gr := &famGroup{fam: &scanFamily{j: j, maxw: scanMaxWeight(g)}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(j), opt); err != nil {
+	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax)), opt); err != nil {
 		return nil, err
 	}
 	return st.scan.totals, nil

@@ -87,7 +87,6 @@ func (f *treeFamily) Transfer(e *groupRun, step int) {
 	dstAll := f.vals[j]
 	opt.parallelVertices(g, func(lo, hi int32) {
 		av := make([]gf.Elem, stride) // per-worker scratch, all lanes
-		var sk int64
 		for i := lo; i < hi; i++ {
 			row := int(i) * stride
 			for _, sp := range spans {
@@ -99,18 +98,13 @@ func (f *treeFamily) Transfer(e *groupRun, step int) {
 			for _, u := range g.Neighbors(i) {
 				urow := int(u) * stride
 				for _, st := range live {
-					src := right[urow+st.off : urow+st.off+st.nb]
-					if !gf.AnyNonZero(src) {
-						sk++
-						continue
-					}
 					t := one
 					if !opt.NoFingerprints {
 						// level key: the decomposition node index,
 						// unique per subtree shape.
 						t = st.a.EdgeTable(u, i, j)
 					}
-					gf.MulSliceTable16(av[st.off:st.off+st.nb], src, t)
+					gf.MulSliceTable16(av[st.off:st.off+st.nb], right[urow+st.off:urow+st.off+st.nb], t)
 				}
 			}
 			for _, sp := range spans {
@@ -118,7 +112,6 @@ func (f *treeFamily) Transfer(e *groupRun, step int) {
 				gf.HadamardInto(dstAll[row+sp.lo:row+sp.hi], left[row+sp.lo:row+sp.hi], av[sp.lo:sp.hi])
 			}
 		}
-		e.addSkipped(sk)
 	})
 	opt.obsEnd()
 }
@@ -149,7 +142,7 @@ func DetectTree(g *graph.Graph, tpl *graph.Template, opt Options) (bool, error) 
 	}
 	st := soloLane(k, opt)
 	gr := &famGroup{fam: &treeFamily{d: tpl.Decompose()}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, opt.batch(k), opt); err != nil {
+	if err := runGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -165,7 +158,7 @@ func treeRound(g *graph.Graph, d *graph.Decomposition, a *Assignment, opt Option
 	}
 	st := &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
 	gr := &famGroup{fam: &treeFamily{d: d}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(a.K), opt); err != nil {
+	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -126,32 +126,35 @@ func (r *QueryRequest) validate() error {
 	return nil
 }
 
-// batch mirrors mld.Options.batch for the phase-count plan.
-func (r *QueryRequest) batch() int {
-	n2 := r.N2
-	if n2 <= 0 {
-		n2 = 128
+// slabs is the query kind's DP slab count, the family input of the
+// phase-width plan.
+func (r *QueryRequest) slabs() int {
+	switch r.Kind {
+	case KindPath:
+		return mld.PathSlabs
+	case KindScanStat:
+		return mld.WeightSlabs(r.K, r.ZMax)
+	default: // tree, motif
+		return mld.LevelSlabs(r.K)
 	}
-	if total := 1 << uint(r.K); n2 > total {
-		n2 = total
-	}
-	return n2
 }
 
-// plannedPhases is the full sweep's phase count for one round — what
-// Phases would reach if a single-round query ran to completion
-// (scanstat runs one sweep per size j ≤ k; this reports the size-k
-// sweep, the dominant term).
-func (r *QueryRequest) plannedPhases() int64 {
-	n2 := uint64(r.batch())
-	total := uint64(1) << uint(r.K)
-	return int64((total + n2 - 1) / n2)
+// plannedPhases is the full sweep's phase count for one round on a
+// graph of the given vertex count, run as one of `lanes` batch lanes —
+// what Phases would reach if a single-round query ran to completion,
+// at the width the engines themselves plan (mld.PlanN2). Scanstat runs
+// one sweep per size j ≤ k; this reports the size-k sweep, the
+// dominant term.
+func (r *QueryRequest) plannedPhases(vertices, lanes int) int64 {
+	return mld.PlannedPhases(r.K, mld.PlanN2(r.N2, vertices, r.K, lanes, r.slabs()))
 }
 
 // key is the query's cache/singleflight identity: the graph's content
 // digest plus every parameter that selects what is computed and how it
-// is seeded or placed. Workers is deliberately excluded — shared-memory
-// worker count provably never changes the totals.
+// is seeded or placed. Workers and N2 are deliberately excluded —
+// neither the shared-memory worker count nor the phase width ever
+// changes the totals (only Phases/TotalPhases, which describe the run
+// that produced the cached answer).
 func (r *QueryRequest) key(digest uint64) string {
 	const prime = 1099511628211
 	tpl := uint64(0)
@@ -185,8 +188,8 @@ func (r *QueryRequest) key(digest uint64) string {
 		}
 		motif = h
 	}
-	return fmt.Sprintf("g=%016x|kind=%s|k=%d|tpl=%016x|z=%d|mo=%016x|seed=%d|eps=%g|r=%d|n2=%d|ranks=%d|n1=%d|sch=%s",
-		digest, r.Kind, r.K, tpl, r.ZMax, motif, r.Seed, r.Epsilon, r.Rounds, r.N2, r.Ranks, r.N1, r.Scheme)
+	return fmt.Sprintf("g=%016x|kind=%s|k=%d|tpl=%016x|z=%d|mo=%016x|seed=%d|eps=%g|r=%d|ranks=%d|n1=%d|sch=%s",
+		digest, r.Kind, r.K, tpl, r.ZMax, motif, r.Seed, r.Epsilon, r.Rounds, r.Ranks, r.N1, r.Scheme)
 }
 
 // Result is a finished query's payload.
@@ -438,17 +441,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, code, "%v", err)
 		return
 	}
-	// Auto-plan unset execution knobs from the graph's shape and the
-	// current load — before the cache key is computed, so the chosen
-	// plan is part of the query's identity. Answers do not depend on
-	// the plan (the equivalence suites pin this); only performance.
-	if s.cfg.AutoTune {
-		if req.N2 <= 0 {
-			req.N2 = core.AutoPlanN2(entry.Vertices, req.K, s.loadLevel())
-		}
-		if req.Ranks > 1 && req.N1 <= 0 {
-			req.N1 = core.AutoPlanN1(entry.Vertices, req.Ranks)
-		}
+	// Auto-plan the unset graph-part count from the graph's shape —
+	// before the cache key is computed, so the chosen placement is part
+	// of the query's identity. (The phase width needs no such step: the
+	// engines plan an unset N2 themselves, identically everywhere.)
+	if s.cfg.AutoTune && req.Ranks > 1 && req.N1 <= 0 {
+		req.N1 = core.AutoPlanN1(entry.Vertices, req.Ranks)
 	}
 	key := req.key(entry.Digest)
 	ri := s.requestInfo(r)
@@ -471,7 +469,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
 	}
 	j := s.jobs.newJob(s.baseCtx, key, &req, timeout)
-	j.digest = entry.Digest
+	j.digest, j.vertices = entry.Digest, entry.Vertices
 	j.trace = tr
 	j.finishHook = s.completeTrace
 	tr.setJob(j.ID)

@@ -171,7 +171,7 @@ func (s *Server) prepLane(j *job) (*laneJob, bool) {
 func (s *Server) executeLane(lj *laneJob) {
 	start := time.Now()
 	if tr := lj.j.trace; tr != nil {
-		tr.beginDP(lj.j.Req.plannedPhases())
+		tr.beginDP(lj.j.Req.plannedPhases(lj.j.vertices, 1))
 	}
 	res, err := s.execute(lj.f.ctx, lj.j.Req, lj.j.trace)
 	s.rec.Observe(obs.HistServeQueryLatency, time.Since(start).Seconds())
@@ -200,7 +200,7 @@ func (s *Server) executeBatch(lanes []*laneJob) {
 		lj.j.traceDisposition(DispBatchedLane, len(lanes))
 		if tr := lj.j.trace; tr != nil {
 			tr.stageDetail(StageBatchAssembled, laneDetail)
-			tr.beginDP(req.plannedPhases())
+			tr.beginDP(req.plannedPhases(lj.j.vertices, len(lanes)))
 		}
 		bl := mld.BatchLane{
 			K: req.K, ZMax: req.ZMax,

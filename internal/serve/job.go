@@ -21,10 +21,11 @@ const (
 // terminal result. Jobs survive in the table after finishing so
 // GET /v1/jobs/{id} can report the outcome of async queries.
 type job struct {
-	ID     string
-	Key    string
-	Req    *QueryRequest
-	digest uint64 // content digest of the named graph (batch compatibility)
+	ID       string
+	Key      string
+	Req      *QueryRequest
+	digest   uint64 // content digest of the named graph (batch compatibility)
+	vertices int    // its vertex count (the phase plan's n)
 
 	// trace is the job's query trace; finishHook (the server's
 	// completeTrace) runs exactly once when the job reaches a terminal

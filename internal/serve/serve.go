@@ -93,12 +93,13 @@ type Config struct {
 	// flight recorder retains for GET /v1/debug/requests (in-flight
 	// traces are always all held). Default 256.
 	FlightRecorderSize int
-	// AutoTune, when set, fills a query's unset N2 (and, for
-	// distributed queries, unset N1) from core.AutoPlanN2/AutoPlanN1 —
-	// graph size and current load pick the plan instead of static
-	// defaults. Answers are plan-independent; only performance moves.
-	// Cluster nodes enable this so every replica derives the same plan
-	// for the same query (docs/CLUSTER.md).
+	// AutoTune, when set, fills a distributed query's unset N1 from
+	// core.AutoPlanN1 — graph size and world shape pick the part count
+	// instead of "one part per rank". Answers are plan-independent;
+	// only performance moves. Cluster nodes enable this so every
+	// replica derives the same plan for the same query
+	// (docs/CLUSTER.md). The phase width N2 is not an AutoTune matter:
+	// mld.PlanN2 plans an unset N2 for every query, tuned or not.
 	AutoTune bool
 	// Store, when non-nil, backs the registry with a persistent
 	// content-addressed graph repository (internal/store): graphs
@@ -573,7 +574,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, tr *QueryTrace)
 	snap := rec.Snapshot()
 	res.Rounds = snap.Counter(obs.Rounds)
 	res.Phases = snap.Counter(obs.Phases)
-	res.TotalPhases = req.plannedPhases()
+	res.TotalPhases = req.plannedPhases(entry.Vertices, 1)
 	return res, err
 }
 
@@ -683,11 +684,4 @@ func (s *Server) gauges() []obs.Metric {
 		out = append(out, s.extraGauges()...)
 	}
 	return out
-}
-
-// loadLevel quantizes the current queue pressure for core.AutoPlanN2:
-// queued queries per worker, floored. 0 = an idle or keeping-up
-// service.
-func (s *Server) loadLevel() int {
-	return s.queue.len() / s.cfg.Workers
 }

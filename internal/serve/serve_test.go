@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/midas-hpc/midas/internal/graph"
+	"github.com/midas-hpc/midas/internal/mld"
 )
 
 // testServer returns a started server (own listener) preloaded with a
@@ -133,6 +134,51 @@ func TestQueryLifecycle(t *testing.T) {
 	}
 	if second.Result.Found != first.Result.Found {
 		t.Fatal("cached answer differs from computed answer")
+	}
+
+	// The phase width never changes the answer, so — like Workers — it
+	// is not part of a query's identity.
+	q.N2, q.Workers = 8, 2
+	_, body = postJSON(t, base+"/v1/query", q)
+	if third := decodeJob(t, body); third.Result == nil || !third.Result.Cached {
+		t.Fatalf("query differing only in n2/workers missed the cache: %s", body)
+	}
+}
+
+// TestTotalPhasesFollowThePlanner: with n2 unset, the reported
+// TotalPhases is mld.PlanN2's plan for the query's shape — the same
+// width the engine itself ran at, so a completed single-round sweep
+// reports Phases == TotalPhases — and an explicit n2 still wins.
+func TestTotalPhasesFollowThePlanner(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	base := "http://" + s.Addr()
+	const n, k = 500, 9 // the 9-slab families plan 256 here: 2 phases, not 4 and not 1
+	lg := graph.RandomGNM(n, 2*n, 6)
+	labels := make([]int32, n)
+	for v := range labels {
+		labels[v] = int32(v % 3)
+	}
+	lg.SetLabels(labels)
+	s.AddGraph("l", lg)
+	path9 := [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}}
+	for _, c := range []struct {
+		q    QueryRequest
+		want int64
+	}{
+		{QueryRequest{Graph: "l", Kind: KindPath, K: k}, mld.PlannedPhases(k, mld.PlanN2(0, n, k, 1, mld.PathSlabs))},
+		{QueryRequest{Graph: "l", Kind: KindTree, Template: path9}, mld.PlannedPhases(k, mld.PlanN2(0, n, k, 1, mld.LevelSlabs(k)))},
+		{QueryRequest{Graph: "l", Kind: KindMotif, K: k, Motif: map[string]int{"0": 2}}, 2},
+		{QueryRequest{Graph: "l", Kind: KindPath, K: k, N2: 64, Seed: 1}, 8},
+	} {
+		c.q.Rounds = 1
+		resp, body := postJSON(t, base+"/v1/query", c.q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s query: %d %s", c.q.Kind, resp.StatusCode, body)
+		}
+		r := decodeJob(t, body).Result
+		if r == nil || r.TotalPhases != c.want || r.Phases != c.want {
+			t.Fatalf("%s n2=%d: result %+v, want phases = totalPhases = %d", c.q.Kind, c.q.N2, r, c.want)
+		}
 	}
 }
 

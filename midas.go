@@ -157,7 +157,7 @@ func PathTemplate(k int) *Template { return graph.PathTemplate(k) }
 func StarTemplate(k int) *Template { return graph.StarTemplate(k) }
 
 // Options configures sequential detection. The zero value works: seed
-// 0, ε = 0.05, GF(2^16) arithmetic, batch width 128.
+// 0, ε = 0.05, GF(2^16) arithmetic, planned batch width.
 type Options struct {
 	// Seed makes the run reproducible; every random choice derives
 	// from it.
@@ -167,7 +167,10 @@ type Options struct {
 	// Rounds overrides the amplification round count (0 = derive from
 	// Epsilon).
 	Rounds int
-	// N2 is the iteration batch width (paper Section IV-B; default 128).
+	// N2 is the iteration batch (phase) width (paper Section IV-B).
+	// 0 — the default — plans it from the query's shape: the widest
+	// power of two whose DP state fits a fixed byte budget, at least
+	// 128, capped at 2^k (mld.PlanN2). Answers never depend on it.
 	N2 int
 	// Workers splits the DP vertex loops across goroutines for
 	// shared-memory parallelism (0 or 1 = serial). Orthogonal to the
