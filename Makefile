@@ -48,8 +48,9 @@ doc-links:
 	$(GO) run ./cmd/doccheck
 
 # Microbenchmarks of the hot kernels (GF(2^w) multiplies, DP inner
-# loop, the sweep at the pre-planner / planned / single-phase widths),
-# repeated for benchstat-friendly output.
+# loop, the sweep at the pre-planner / planned / single-phase widths,
+# a 12-query burst as one strided batch / solo calls / lane-parallel
+# solo sweeps), repeated for benchstat-friendly output.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/gf ./internal/core ./internal/mld
 
@@ -59,9 +60,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Smoke test of the wall-clock benchmark (bench/ is a module of its own,
-# so `go test ./...` does not reach it): all four workloads at toy size.
-# bench/ is frozen between benchmark PRs; this is what fails loudly when
-# a planner or API change breaks what it imports.
+# so `go test ./...` does not compile it): all four workloads at toy
+# size. bench/ is frozen between benchmark PRs; this is what fails
+# loudly when a planner or API change breaks what it imports. Tier-1
+# runs the same thing through the root module's TestBenchModule.
 bench-wall-smoke:
 	$(GO) test -C bench .
 

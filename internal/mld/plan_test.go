@@ -3,6 +3,7 @@ package mld
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/midas-hpc/midas/internal/gf"
@@ -187,6 +188,16 @@ func TestTotalsIndependentOfPhaseWidth(t *testing.T) {
 
 var sweepSink gf.Elem
 
+// buildAllTablesScrambled puts the benchmarks in a long-running
+// process's state: it has met every coefficient, in no order related to
+// any one assignment's edge walk, so first-use order cannot flatter a
+// sweep.
+func buildAllTablesScrambled() {
+	for i := 0; i < 1<<16; i++ {
+		CachedMulTable(gf.Elem(i * 40503))
+	}
+}
+
 // BenchmarkPathSweepN2 times one full k-path sweep at the shape of the
 // wall-clock benchmark's solo-deep workload (n = 750, m = n·ln n,
 // k = 11) at the pre-planner default width, the planned width and one
@@ -197,12 +208,7 @@ func BenchmarkPathSweepN2(b *testing.B) {
 	g := graph.RandomNLogN(n, 1)
 	a := NewPathAssignment(n, k, 1, 0)
 	arena := NewArena()
-	// A long-running process has met every coefficient, in no order
-	// related to this assignment's edge walk; build them all, scrambled,
-	// so first-use order cannot flatter the sweep.
-	for i := 0; i < 1<<16; i++ {
-		CachedMulTable(gf.Elem(i * 40503))
-	}
+	buildAllTablesScrambled()
 	for _, w := range []struct {
 		name string
 		n2   int
@@ -217,4 +223,61 @@ func BenchmarkPathSweepN2(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBurstLanes answers one burst of the wall-clock benchmark's
+// burst-batch workload (12 path queries, k ∈ {7, 8, 9}, one round, on
+// G(n, m) with n = 1000, m = n·ln n) three ways on two cores: as one
+// strided 12-lane DetectPathBatch sweep, as 12 solo DetectPath calls
+// back to back with Workers: 2, and as serve's ranks = 1 batch schedule
+// — two goroutines pulling the lanes in order, each lane a solo sweep
+// with Workers: 1 (docs/BATCHING.md §8). Run via `make bench`.
+func BenchmarkBurstLanes(b *testing.B) {
+	const n, cores = 1000, 2
+	g := graph.RandomNLogN(n, 1)
+	arena := NewArena()
+	buildAllTablesScrambled()
+	lanes := make([]BatchLane, 12)
+	for i := range lanes {
+		lanes[i] = BatchLane{K: 7 + i%3, Seed: uint64(100 + i), Rounds: 1}
+	}
+	solo := func(b *testing.B, l BatchLane, workers int) {
+		if _, err := DetectPath(g, l.K, Options{Seed: l.Seed, Rounds: l.Rounds, Workers: workers, Arena: arena}); err != nil {
+			b.Error(err)
+		}
+	}
+	b.Run("strided", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := DetectPathBatch(g, lanes, Options{Workers: cores, Arena: arena}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("solo", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, l := range lanes {
+				solo(b, l, cores)
+			}
+		}
+	})
+	b.Run("lane-parallel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			feed := make(chan BatchLane, len(lanes))
+			for _, l := range lanes {
+				feed <- l
+			}
+			close(feed)
+			var wg sync.WaitGroup
+			for w := 0; w < cores; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for l := range feed {
+						solo(b, l, 1)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	})
 }

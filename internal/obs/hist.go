@@ -57,9 +57,10 @@ const (
 	// the unit caveat: histograms export under a `_seconds` suffix for
 	// uniformity, but this one observes a dimensionless lane count.
 	HistServeBatchOccupancy
-	// HistServeLaneCost is the per-query amortized execution time of a
-	// batched flight: the batch's wall time divided by its occupancy,
-	// observed once per lane (internal/serve).
+	// HistServeLaneCost is observed once per batched lane: in a
+	// ranks ≤ 1 batch, whose lanes are solo sweeps run side by side, the
+	// lane's own sweep time; in a distributed batch the joint sweep's
+	// wall time divided by its occupancy (internal/serve).
 	HistServeLaneCost
 	// HistServeDPTime is the wall time each flight-leading query spent
 	// executing its DP — the dp stage of its QueryTrace, excluding

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/midas-hpc/midas/internal/comm"
@@ -16,14 +17,15 @@ import (
 // Admission batching: when Config.BatchWindow > 0, a worker that picks
 // up a query does not execute it immediately. It becomes the batch
 // leader: for up to one window it keeps harvesting compatible queued
-// queries (same graph, same kind, same world shape — see compatible),
-// assembles every singleflight *leader* among them into a lane, and
-// runs the whole set through the mld/core batched evaluators in one DP
-// sweep. Results fan back out through each lane's flight, so cache
-// fills, singleflight followers, and per-query cancellation behave
-// exactly as in the single-query path; a lane whose last requester
-// leaves mid-flight is masked out of the batch while the other lanes
-// run on. docs/BATCHING.md is the full story.
+// queries (same graph, same kind, same world shape — see compatible)
+// and assembles every singleflight *leader* among them into a lane.
+// A ranks ≤ 1 batch then runs as a schedule of solo sweeps, lanes in
+// parallel; a ranks > 1 batch runs as one joint core.RunPathBatch sweep
+// (executeBatch). Results fan back out through each lane's flight, so
+// cache fills, singleflight followers, and per-query cancellation
+// behave exactly as in the single-query path; a lane whose last
+// requester leaves mid-flight stops while the other lanes run on.
+// docs/BATCHING.md is the full story.
 
 // laneJob is one batch lane: the job that leads its flight plus the
 // flight the result fans back through.
@@ -37,9 +39,10 @@ type laneJob struct {
 // queries — the same world shape, since the batch runs on one
 // in-process world with one partition. Seeds, k, rounds, epsilon,
 // zmax, templates, N2 and Workers may all differ: each lane keeps its
-// own assignment, and the batch adopts the leader's sweep geometry
-// (answers are geometry-independent). Distributed batching covers
-// paths only; other kinds and shapes fall back to solo runs.
+// own assignment, and the batch adopts the leader's core budget
+// (Workers; N2 too when distributed — answers are independent of
+// both). Distributed batching covers paths only; other kinds and
+// shapes fall back to solo runs.
 func compatible(lead, cand *job) bool {
 	a, b := lead.Req, cand.Req
 	if lead.digest != cand.digest || a.Graph != b.Graph || a.Kind != b.Kind {
@@ -61,11 +64,7 @@ func compatible(lead, cand *job) bool {
 
 // batchable reports whether a query may lead or join a batch at all.
 func batchable(j *job) bool {
-	r := j.Req
-	if r.Ranks > 1 {
-		return r.Kind == KindPath // core batches paths only
-	}
-	return true
+	return j.Req.Ranks <= 1 || j.Req.Kind == KindPath // core batches paths only
 }
 
 // runBatched is the worker's entry point when admission batching is
@@ -88,7 +87,7 @@ func (s *Server) runBatched(first *job) {
 	}
 	s.rec.Observe(obs.HistServeBatchAssembly, time.Since(hold).Seconds())
 	if len(lanes) == 1 {
-		s.executeLane(lead)
+		s.executeLane(lead, 0)
 		return
 	}
 	s.logger.Debug("batch assembled",
@@ -165,16 +164,31 @@ func (s *Server) prepLane(j *job) (*laneJob, bool) {
 	return &laneJob{j: j, f: f}, true
 }
 
-// executeLane runs a solo flight-leader job to completion (the
-// occupancy-1 tail of runBatched; the no-batching worker path builds
-// the same laneJob in runJob).
-func (s *Server) executeLane(lj *laneJob) {
+// executeLane runs a flight-leader job's own sweep and answers it the
+// moment the sweep ends: the occupancy-1 tail of runBatched, the
+// no-batching worker path (runJob builds the same laneJob), and — with
+// workers > 0 standing in for the request's Workers — one lane of a
+// ranks ≤ 1 batch. The override lives on a copy, so the job, its cache
+// key and its view keep the request as submitted.
+func (s *Server) executeLane(lj *laneJob, workers int) {
+	req := lj.j.Req
+	if workers > 0 {
+		lane := *req
+		lane.Workers = workers
+		req = &lane
+	}
 	start := time.Now()
 	if tr := lj.j.trace; tr != nil {
-		tr.beginDP(lj.j.Req.plannedPhases(lj.j.vertices, 1))
+		tr.beginDP(req.plannedPhases(lj.j.vertices, 1))
 	}
-	res, err := s.execute(lj.f.ctx, lj.j.Req, lj.j.trace)
+	res, err := s.execute(lj.f.ctx, req, lj.j.trace)
 	s.rec.Observe(obs.HistServeQueryLatency, time.Since(start).Seconds())
+	s.publish(lj, res, err)
+}
+
+// publish ends a lane: backfill the trace's dp counters, cache a
+// success, and release everyone waiting on the flight.
+func (s *Server) publish(lj *laneJob, res *Result, err error) {
 	if res != nil && lj.j.trace != nil {
 		lj.j.trace.setDPResult(res.Phases, res.TotalPhases)
 	}
@@ -184,110 +198,95 @@ func (s *Server) executeLane(lj *laneJob) {
 	s.flights.finish(lj.f, res, err)
 }
 
-// executeBatch runs ≥2 lanes through one batched DP execution and fans
-// the per-lane results back through their flights. Each lane's context
-// is its flight's context, so a lane all of whose requesters left is
-// masked out of the sweep (LaneResult.Err = context.Canceled) while
-// the others continue; the batch as a whole runs under the server's
-// lifetime context.
+// executeBatch runs ≥2 assembled lanes. In one process (ranks ≤ 1) a
+// batch is a schedule, not a layout: lanes share no DP state, so one
+// strided sweep over all of them only narrows every lane's phase width
+// and makes each caller wait for the slowest. Instead P = min(leader's
+// Workers, lanes) goroutines pull the lanes in admission order and run
+// each as a solo sweep on Workers/P workers (executeLane) — its own
+// planned width, progress, and cancellation on its flight context, so
+// a lane whose requesters all left stops while the others run on.
+// Ranks > 1 keeps the joint sweep, where batching saves messages. All
+// lanes are joined before returning: runBatched's inflight count, and
+// with it the drain, covers the whole batch.
 func (s *Server) executeBatch(lanes []*laneJob) {
-	first := lanes[0].j.Req
-	blanes := make([]mld.BatchLane, len(lanes))
-	laneErrs := make([]error, len(lanes))
-	laneDetail := strconv.Itoa(len(lanes)) + " lanes"
-	for i, lj := range lanes {
-		req := lj.j.Req
-		lj.j.traceDisposition(DispBatchedLane, len(lanes))
-		if tr := lj.j.trace; tr != nil {
-			tr.stageDetail(StageBatchAssembled, laneDetail)
-			tr.beginDP(req.plannedPhases(lj.j.vertices, len(lanes)))
-		}
-		bl := mld.BatchLane{
-			K: req.K, ZMax: req.ZMax,
-			Seed: req.Seed, Epsilon: req.Epsilon, Rounds: req.Rounds,
-			Ctx: lj.f.ctx,
-		}
-		switch req.Kind {
-		case KindTree:
-			tpl, err := req.template()
-			if err != nil {
-				laneErrs[i] = err // validate() makes this unreachable; fail the lane, not the batch
-			}
-			bl.Template = tpl
-		case KindMotif:
-			spec, err := req.motifSpec()
-			if err != nil {
-				laneErrs[i] = err // validate() makes this unreachable too
-			}
-			bl.Motif = spec
-		}
-		blanes[i] = bl
-	}
-	start := time.Now()
-	var results []mld.LaneResult
-	var batchErr error
-	entry, err := s.registry.get(first.Graph)
-	switch {
-	case err != nil:
-		batchErr = err // graph evicted between admission and execution
-	case first.Ranks > 1:
-		results, batchErr = s.batchDistributed(entry, first, blanes)
-	default:
-		results, batchErr = s.batchSequential(entry, first, blanes)
-	}
-	wall := time.Since(start).Seconds()
 	s.rec.Add(obs.ServeBatches, 1)
 	s.rec.Add(obs.ServeBatchLanes, int64(len(lanes)))
 	s.rec.Observe(obs.HistServeBatchOccupancy, float64(len(lanes)))
+	laneDetail := strconv.Itoa(len(lanes)) + " lanes"
+	for _, lj := range lanes {
+		lj.j.traceDisposition(DispBatchedLane, len(lanes))
+		if tr := lj.j.trace; tr != nil {
+			tr.stageDetail(StageBatchAssembled, laneDetail)
+		}
+	}
+	first := lanes[0].j.Req
+	if first.Ranks > 1 {
+		s.executeBatchDistributed(lanes)
+		return
+	}
+	feed := make(chan *laneJob, len(lanes))
+	for _, lj := range lanes {
+		feed <- lj
+	}
+	close(feed)
+	workers := max(first.Workers, 1)
+	p := min(workers, len(lanes))
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lj := range feed {
+				start := time.Now()
+				s.executeLane(lj, workers/p)
+				s.rec.Observe(obs.HistServeLaneCost, time.Since(start).Seconds())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// executeBatchDistributed runs path lanes as one joint sweep
+// (batchDistributed) and fans the per-lane results back through their
+// flights when it ends. Each lane's context is its flight's, so a dead
+// lane is masked out (LaneResult.Err = context.Canceled) while the
+// batch as a whole runs under the server's lifetime context.
+func (s *Server) executeBatchDistributed(lanes []*laneJob) {
+	first := lanes[0].j.Req
+	blanes := make([]mld.BatchLane, len(lanes))
+	for i, lj := range lanes {
+		req := lj.j.Req
+		if tr := lj.j.trace; tr != nil {
+			tr.beginDP(req.plannedPhases(lj.j.vertices, len(lanes)))
+		}
+		blanes[i] = mld.BatchLane{
+			K: req.K, Seed: req.Seed, Epsilon: req.Epsilon, Rounds: req.Rounds,
+			Ctx: lj.f.ctx,
+		}
+	}
+	start := time.Now()
+	var results []mld.LaneResult
+	entry, err := s.registry.get(first.Graph) // fails if evicted since admission
+	if err == nil {
+		results, err = s.batchDistributed(entry, first, blanes)
+	}
+	if results == nil && err == nil {
+		err = errors.New("serve: batch produced no results")
+	}
+	wall := time.Since(start).Seconds()
 	for i, lj := range lanes {
 		s.rec.Observe(obs.HistServeLaneCost, wall/float64(len(lanes)))
 		s.rec.Observe(obs.HistServeQueryLatency, wall)
-		var res *Result
-		err := laneErrs[i]
-		if err == nil {
-			switch {
-			case results != nil:
-				lr := results[i]
-				res = &Result{
-					Kind: lj.j.Req.Kind, Found: lr.Found, Table: lr.Table,
-					Rounds: lr.Rounds, Phases: lr.Phases, TotalPhases: lr.TotalPhases,
-				}
-				if tr := lj.j.trace; tr != nil {
-					tr.setDPResult(lr.Phases, lr.TotalPhases)
-				}
-				err = lr.Err
-			case batchErr != nil:
-				err = batchErr
-			default:
-				err = errors.New("serve: batch produced no results")
-			}
+		if results == nil {
+			s.publish(lj, nil, err)
+			continue
 		}
-		if err == nil {
-			s.cache.put(lj.j.Key, res, res.size())
-		}
-		s.flights.finish(lj.f, res, err)
-	}
-}
-
-// batchSequential dispatches to the shared-memory batched evaluators.
-// The sweep geometry (N2, Workers) is the leader's; every lane keeps
-// its own seeding, so answers match solo runs exactly.
-func (s *Server) batchSequential(entry *graphEntry, first *QueryRequest, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
-	opt := mld.Options{
-		N2: first.N2, Workers: first.Workers,
-		Arena: s.arena, Ctx: s.baseCtx,
-	}
-	switch first.Kind {
-	case KindPath:
-		return mld.DetectPathBatch(entry.G, blanes, opt)
-	case KindTree:
-		return mld.DetectTreeBatch(entry.G, blanes, opt)
-	case KindScanStat:
-		return mld.ScanTableBatch(entry.G, blanes, opt)
-	case KindMotif:
-		return mld.DetectMotifBatch(entry.G, blanes, opt)
-	default:
-		return nil, errors.New("serve: unbatchable kind " + first.Kind)
+		lr := results[i]
+		s.publish(lj, &Result{
+			Kind: KindPath, Found: lr.Found,
+			Rounds: lr.Rounds, Phases: lr.Phases, TotalPhases: lr.TotalPhases,
+		}, lr.Err)
 	}
 }
 

@@ -16,13 +16,13 @@
 //
 // With Config.BatchWindow > 0, a worker additionally holds each
 // batchable query for the window and sweeps the queue for compatible
-// ones (same graph digest, kind and rank layout), running them as
-// lanes of one multi-query DP execution (internal/mld's batch
-// evaluators; core.RunPathBatch when distributed). Singleflight and
-// the cache compose in front of batching — only flight leaders become
-// lanes — and cancellation stays per-query: a dead lane is masked out
-// of the batch while its batch-mates finish. Answers are byte-identical
-// to solo execution.
+// ones (same graph digest, kind and rank layout), running them as the
+// lanes of one batch: distributed, one joint core.RunPathBatch sweep;
+// in one process, solo sweeps run side by side on the leader's workers,
+// each answered as it finishes. Singleflight and the cache compose in
+// front of batching — only flight leaders become lanes — and
+// cancellation stays per-query: a dead lane stops while its batch-mates
+// finish. Answers are byte-identical to solo execution.
 //
 // docs/SERVING.md is the operator guide: API reference, admission,
 // caching and deadline semantics, and capacity tuning. docs/BATCHING.md
@@ -70,7 +70,7 @@ type Config struct {
 	MaxJobs int
 	// BatchWindow, when positive, enables admission batching: a worker
 	// picking up a query waits up to this long, harvesting compatible
-	// queued queries (same graph/kind/world shape) into one batched DP
+	// queued queries (same graph/kind/world shape) into one batched
 	// execution. Zero — the default — disables batching entirely; every
 	// query runs solo exactly as before. A few milliseconds is a
 	// sensible window (docs/BATCHING.md discusses the tradeoff).
@@ -445,7 +445,7 @@ func (s *Server) runJob(wid int, j *job) {
 		return
 	}
 	s.inflight.Add(1)
-	s.executeLane(lj)
+	s.executeLane(lj, 0)
 	s.inflight.Add(-1)
 }
 
