@@ -1,16 +1,19 @@
 package core
 
-// Microbenchmark for the DP inner loop (Algorithm 3): one rank's share
+// Microbenchmarks for the DP inner loop (Algorithm 3): one rank's share
 // of one round's 2^k iterations, on a single-rank world so no
-// communication overlaps the measured compute. Run via `make bench`.
+// communication overlaps the measured compute, and one round of a
+// 2-rank motif query. Run via `make bench`.
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/midas-hpc/midas/internal/comm"
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
 	"github.com/midas-hpc/midas/internal/mld"
+	"github.com/midas-hpc/midas/internal/partition"
 )
 
 var benchSink gf.Elem
@@ -33,3 +36,39 @@ func benchmarkPathRound(b *testing.B, n, k, n2 int) {
 func BenchmarkPathRoundK6(b *testing.B)  { benchmarkPathRound(b, 500, 6, 16) }
 func BenchmarkPathRoundK8(b *testing.B)  { benchmarkPathRound(b, 500, 8, 64) }
 func BenchmarkPathRoundK10(b *testing.B) { benchmarkPathRound(b, 500, 10, 64) }
+
+// BenchmarkRunMotifR2 times one round of a distributed motif query at
+// the shape of the wall-clock benchmark's dist-r2 workload: k = 8, at
+// least two colour-0 vertices and one colour-1, on G(n, m) with
+// n = 4000, m = n·ln n, six uniform colours, two local ranks, one
+// phase group, a BFS partition computed once (as the query service
+// caches it). Run via `make bench`.
+func BenchmarkRunMotifR2(b *testing.B) {
+	const n, k, ranks = 4000, 8, 2
+	g := graph.RandomNLogN(n, 1)
+	r := rand.New(rand.NewSource(1))
+	labels := make([]int32, n)
+	for i := range labels {
+		labels[i] = int32(r.Intn(6))
+	}
+	g.SetLabels(labels)
+	spec := &mld.MotifSpec{K: k, Counts: map[int32]int{0: 2, 1: 1}}
+	part, err := partition.ByScheme(partition.SchemeBFSGrow, g, ranks, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < part.Parts; i++ {
+		part.Members(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := Config{N1: ranks, Seed: uint64(i + 1), Rounds: 1, Scheme: partition.SchemeBFSGrow, Part: part, NoTiming: true}
+		err := comm.RunLocal(ranks, comm.CostModel{}, func(c *comm.Comm) error {
+			_, err := RunMotif(c, g, spec, cfg)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -52,12 +52,15 @@ func RunMotif(world *comm.Comm, g *graph.Graph, spec *mld.MotifSpec, cfg Config)
 
 // motifRoundLocal runs this rank's share of one round and returns its
 // partial field total. The DP is the scan recurrence without the
-// weight axis: levels jj ≥ 2 combine a local piece P(v,j') with a
-// neighbor piece P(u,jj−j'), so every finished level below the last is
+// weight axis: levels jj ≥ 2 combine a local piece P(v,j') with
+// neighbor pieces P(u,jj−j'), so every finished level below the last is
 // halo-exchanged before the next one reads it (level 1 is the base
-// row, which each rank fills at ghost slots locally). With a
-// configured context the per-step synchronization doubles as the
-// cancellation point (see syncStep).
+// row, which each rank fills at ghost slots locally). The local piece
+// does not depend on u, so the join is factored: per (v, j') the
+// neighbor pieces are summed with the constant-multiply axpy and
+// multiplied into P(v,jj) by one Hadamard product. With a configured
+// context the per-step synchronization doubles as the cancellation
+// point (see syncStep).
 func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 	n2 := p.cfg.N2
 	iters := uint64(1) << uint(k)
@@ -68,7 +71,12 @@ func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 	for jj := 1; jj <= k; jj++ {
 		tab[jj] = p.arena.Grab(p.nSlots * n2)
 	}
-	defer func() { p.arena.Put(tab[1:]...) }()
+	sum := p.arena.Grab(n2) // the neighbor sum of one (vertex, split)
+	defer func() {
+		p.arena.Put(tab[1:]...)
+		p.arena.Put(sum)
+	}()
+	one := mld.CachedMulTable(1)
 	var total gf.Elem
 	var skipped int64
 
@@ -83,6 +91,7 @@ func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 				nb = int(rem)
 			}
 			elemSec, edgeSec := p.kernelCosts(k + 1)
+			acc := sum[:nb]
 			// Base case at every slot (owned and ghost) — local.
 			for sl := 0; sl < p.nSlots; sl++ {
 				a.FillBase(tab[1][sl*n2:sl*n2+nb], p.vertOf[sl], q0, p.cfg.NoGray)
@@ -102,28 +111,37 @@ func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 				for _, v := range p.owned {
 					sv := int(p.slotOf[v])
 					iLo, iHi := sv*n2, sv*n2+nb
-					for _, u := range p.g.Neighbors(v) {
-						su := int(p.slotOf[u])
-						uLo, uHi := su*n2, su*n2+nb
-						for jp := 1; jp < jj; jp++ {
-							src1 := tab[jp][iLo:iHi]
-							if !gf.AnyNonZero(src1) {
+					nbrs := p.g.Neighbors(v)
+					for jp := 1; jp < jj; jp++ {
+						local := tab[jp][iLo:iHi]
+						if !gf.AnyNonZero(local) {
+							skipped += int64(len(nbrs))
+							continue
+						}
+						// S = Σ_u r·P(u,jj−jp), charged like the per-edge
+						// triple product it replaces: one skip per dead
+						// (v, u, jp) cell, one width-nb op per live one.
+						live := false
+						for _, u := range nbrs {
+							su := int(p.slotOf[u])
+							piece := tab[jj-jp][su*n2 : su*n2+nb]
+							if !gf.AnyNonZero(piece) {
 								skipped++
 								continue
 							}
-							src2 := tab[jj-jp][uLo:uHi]
-							if !gf.AnyNonZero(src2) {
-								skipped++
-								continue
-							}
-							var r gf.Elem = 1
+							t := one
 							if !p.cfg.NoFingerprints {
-								r = a.MotifCoeff(u, v, jj, jp)
+								t = a.MotifTable(u, v, jj, jp)
 							}
 							hashes++
-							// P(v,jj) += r · P(v,jp) ⊙ P(u,jj−jp)
-							gf.MulHadamardAccumScaled(tab[jj][iLo:iHi], src1, src2, r)
+							gf.MulSliceTable16(acc, piece, t)
 							kernelElems += float64(nb)
+							live = true
+						}
+						if live {
+							// P(v,jj) += P(v,jp) ⊙ S
+							gf.MulHadamardAccum(tab[jj][iLo:iHi], local, acc)
+							clear(acc)
 						}
 					}
 				}

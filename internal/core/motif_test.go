@@ -7,6 +7,8 @@ import (
 	"github.com/midas-hpc/midas/internal/comm"
 	"github.com/midas-hpc/midas/internal/graph"
 	"github.com/midas-hpc/midas/internal/mld"
+	"github.com/midas-hpc/midas/internal/obs"
+	"github.com/midas-hpc/midas/internal/partition"
 )
 
 // TestDistributedMotifMatchesSequential: for the same seed, RunMotif's
@@ -86,6 +88,49 @@ func TestRunMotifValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMotifCountersPinned pins the execution counters of one sequential
+// and one 2-rank motif run to exact values. They feed the α–β modeled
+// clock, the N1 planner and the bench baseline's gates, so a rewrite of
+// the motif transfer must charge exactly what the per-edge triple
+// product charged: one skip per dead (vertex, neighbour, split) cell and
+// one width-nb kernel op per live one.
+func TestMotifCountersPinned(t *testing.T) {
+	g := graph.RandomGNM(40, 120, 4)
+	labels := make([]int32, g.NumVertices())
+	for v := range labels {
+		labels[v] = int32(v % 4)
+	}
+	g.SetLabels(labels)
+	// Exact: colour-3 vertices get all-zero rows, so cells are skipped.
+	spec := &mld.MotifSpec{K: 6, Counts: map[int32]int{0: 2, 1: 2, 2: 2}}
+	counters := []obs.Counter{obs.DPOps, obs.CellsSkipped, obs.Levels, obs.Phases, obs.HaloMsgs, obs.HaloBytes}
+	check := func(name string, got func(obs.Counter) int64, want []int64) {
+		t.Helper()
+		for i, c := range counters {
+			if v := got(c); v != want[i] {
+				t.Errorf("%s: %s = %d, want %d", name, c, v, want[i])
+			}
+		}
+	}
+
+	rec := obs.NewRecorder(0, nil)
+	if _, err := mld.DetectMotif(g, spec, mld.Options{Seed: 71, Rounds: 2, N2: 16, Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	check("DetectMotif", rec.Get, []int64{89600, 7830, 20, 4, 0, 0})
+
+	recs := make([]*obs.Recorder, 2)
+	err := comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
+		recs[c.Rank()] = c.EnableObs()
+		_, err := RunMotif(c, g, spec, Config{N1: 2, N2: 16, Seed: 71, Rounds: 2, Scheme: partition.SchemeBFSGrow})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunMotif", func(c obs.Counter) int64 { return recs[0].Get(c) + recs[1].Get(c) }, []int64{112416, 7830, 40, 8, 32, 17408})
 }
 
 type errAssert string

@@ -69,3 +69,8 @@ func CachedMulTable8(c uint8) *gf.MulTable8 {
 func (a *Assignment) EdgeTable(u, i int32, level int) *gf.MulTable {
 	return CachedMulTable(a.EdgeCoeff(u, i, level))
 }
+
+// MotifTable is EdgeTable for MotifCoeff(u, i, j, jp).
+func (a *Assignment) MotifTable(u, i int32, j, jp int) *gf.MulTable {
+	return CachedMulTable(a.MotifCoeff(u, i, j, jp))
+}

@@ -122,7 +122,10 @@ func NewMotifAssignment(g *graph.Graph, spec *MotifSpec, seed uint64, round int)
 // motifFamily is the constrained-motif polynomial as a sweep-engine
 // Family: the scan-statistics recurrence without the weight axis —
 // P(i,1) = x_i, P(i,j) = Σ_u Σ_{j'} r·P(i,j')⊙P(u,j−j') — over
-// lane-contiguous level slabs, each lane folding at its own K.
+// lane-contiguous level slabs, each lane folding at its own K. The
+// local piece does not depend on u, so Transfer evaluates the factored
+// form P(i,j) = Σ_{j'} P(i,j') ⊙ Σ_u r·P(u,j−j'): constant-multiply
+// axpys per (edge, split), one Hadamard product per (vertex, split).
 // Constraints live entirely in the assignment's zero pattern, so
 // heterogeneous specs share one group.
 type motifFamily struct {
@@ -226,30 +229,40 @@ func (f *motifFamily) Transfer(e *groupRun, step int) {
 	opt.obsSpan(obs.LevelName, jj, "level")
 	opt.obsLevel(levelElems(g) * lvlWidth)
 	dst := f.p[jj]
+	one := CachedMulTable(1)
 	opt.parallelVertices(g, func(lo, hi int32) {
+		sum := make([]gf.Elem, e.n2) // per-worker neighbor sum
 		var sk int64
 		for i := lo; i < hi; i++ {
-			row := int(i) * stride
-			for _, u := range g.Neighbors(i) {
-				urow := int(u) * stride
-				for _, st := range lvl {
-					for jp := 1; jp < jj; jp++ {
-						src1 := f.p[jp][row+st.off : row+st.off+st.nb]
-						if !gf.AnyNonZero(src1) {
+			nbrs := g.Neighbors(i)
+			for _, st := range lvl {
+				lane := int(i)*stride + st.off
+				av := sum[:st.nb]
+				for jp := 1; jp < jj; jp++ {
+					local := f.p[jp][lane : lane+st.nb]
+					if !gf.AnyNonZero(local) {
+						sk += int64(len(nbrs)) // one dead cell per neighbor
+						continue
+					}
+					live := false
+					for _, u := range nbrs {
+						ulane := int(u)*stride + st.off
+						piece := f.p[jj-jp][ulane : ulane+st.nb]
+						if !gf.AnyNonZero(piece) {
 							sk++
 							continue
 						}
-						src2 := f.p[jj-jp][urow+st.off : urow+st.off+st.nb]
-						if !gf.AnyNonZero(src2) {
-							sk++
-							continue
-						}
-						var r gf.Elem = 1
+						t := one
 						if !opt.NoFingerprints {
-							r = st.a.MotifCoeff(u, i, jj, jp)
+							t = st.a.MotifTable(u, i, jj, jp)
 						}
-						// P(i,jj) += r · P(i,jp) ⊙ P(u,jj−jp)
-						gf.MulHadamardAccumScaled(dst[row+st.off:row+st.off+st.nb], src1, src2, r)
+						gf.MulSliceTable16(av, piece, t)
+						live = true
+					}
+					if live {
+						// P(i,jj) += P(i,jp) ⊙ Σ_u r·P(u,jj−jp)
+						gf.MulHadamardAccum(dst[lane:lane+st.nb], local, av)
+						clear(av)
 					}
 				}
 			}

@@ -236,6 +236,32 @@ func TestMotifAssignmentPurity(t *testing.T) {
 	}
 }
 
+// BenchmarkDetectMotifWide times one round of a motif query at the
+// shape of the wall-clock benchmark's kinds-wide workload: k = 6, at
+// least two colour-0 vertices and one colour-1, on a Barabási–Albert
+// graph with n = 10 000 and 5 edges per new vertex, six uniform
+// colours, two workers, in a process that has already built every
+// coefficient table. Run via `make bench`.
+func BenchmarkDetectMotifWide(b *testing.B) {
+	const n, k = 10000, 6
+	g := graph.BarabasiAlbert(n, 5, 1)
+	r := rand.New(rand.NewSource(1))
+	labels := make([]int32, n)
+	for i := range labels {
+		labels[i] = int32(r.Intn(6))
+	}
+	g.SetLabels(labels)
+	spec := &MotifSpec{K: k, Counts: map[int32]int{0: 2, 1: 1}}
+	arena := NewArena()
+	buildAllTablesScrambled()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DetectMotif(g, spec, Options{Seed: uint64(i + 1), Rounds: 1, Workers: 2, Arena: arena}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // FuzzMotifVsBruteForce is the fuzzing face of the differential
 // harness: arbitrary bytes pick the graph, coloring, and constraint;
 // the sieve must agree with brute force. Rounds=3 keeps the per-case

@@ -181,6 +181,7 @@ func (s *Server) executeLane(lj *laneJob, workers int) {
 	if tr := lj.j.trace; tr != nil {
 		tr.beginDP(req.plannedPhases(lj.j.vertices, 1))
 	}
+	s.logger.Debug("sweep started", "jobId", lj.j.ID, "kind", req.Kind, "k", req.K, "ranks", req.Ranks)
 	res, err := s.execute(lj.f.ctx, req, lj.j.trace)
 	s.rec.Observe(obs.HistServeQueryLatency, time.Since(start).Seconds())
 	s.publish(lj, res, err)
@@ -291,9 +292,8 @@ func (s *Server) executeBatchDistributed(lanes []*laneJob) {
 }
 
 // batchDistributed runs the lanes on one in-process world via
-// core.RunPathBatch, with the leader's partition (cached per graph —
-// answers are partition-independent, so lanes with other seeds still
-// match their solo runs).
+// core.RunPathBatch, with the graph's cached partition (answers are
+// partition-independent, so every lane matches its solo run).
 func (s *Server) batchDistributed(entry *graphEntry, first *QueryRequest, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
 	scheme := partition.Scheme(first.Scheme)
 	if scheme == "" {
@@ -303,7 +303,7 @@ func (s *Server) batchDistributed(entry *graphEntry, first *QueryRequest, blanes
 	if n1 <= 0 {
 		n1 = first.Ranks
 	}
-	part, err := entry.partitionFor(scheme, n1, first.Seed^0x70a3d70a3d70a3d7)
+	part, err := entry.partitionFor(scheme, n1)
 	if err != nil {
 		return nil, err
 	}

@@ -15,24 +15,27 @@ import (
 	"github.com/midas-hpc/midas/internal/mld"
 )
 
-// assembledSignal is a log handler that closes ch at the server's first
-// "batch assembled" record — logged by the batch leader right before it
-// executes the lanes — so tests wait on the event instead of polling.
-type assembledSignal struct {
+// logSignal is a log handler that closes ch at the server's first
+// record with message msg — "batch assembled" (logged by the batch
+// leader right before it executes the lanes) or "sweep started" (logged
+// right before a lane's DP sweep) — so tests wait on the event instead
+// of polling.
+type logSignal struct {
+	msg  string
 	once *sync.Once
 	ch   chan struct{}
 }
 
-func newAssembledSignal() (*slog.Logger, <-chan struct{}) {
-	h := assembledSignal{once: new(sync.Once), ch: make(chan struct{})}
+func newLogSignal(msg string) (*slog.Logger, <-chan struct{}) {
+	h := logSignal{msg: msg, once: new(sync.Once), ch: make(chan struct{})}
 	return slog.New(h), h.ch
 }
 
-func (h assembledSignal) Enabled(context.Context, slog.Level) bool { return true }
-func (h assembledSignal) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h assembledSignal) WithGroup(string) slog.Handler            { return h }
-func (h assembledSignal) Handle(_ context.Context, r slog.Record) error {
-	if r.Message == "batch assembled" {
+func (h logSignal) Enabled(context.Context, slog.Level) bool { return true }
+func (h logSignal) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h logSignal) WithGroup(string) slog.Handler            { return h }
+func (h logSignal) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
 		h.once.Do(func() { close(h.ch) })
 	}
 	return nil
@@ -251,7 +254,7 @@ func TestBatchDistributedMatchesSolo(t *testing.T) {
 // batch cancels only that lane — it resolves to its context error — and
 // the other lane finishes with the correct answer.
 func TestBatchLaneCancelMasksLane(t *testing.T) {
-	logger, assembled := newAssembledSignal()
+	logger, assembled := newLogSignal("batch assembled")
 	s := testServer(t, Config{Workers: 1, BatchWindow: 2 * time.Second, BatchMaxLanes: 2, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", graph.RandomGNM(200, 800, 6))
@@ -365,7 +368,7 @@ func TestBatchLaneWorkersStayPrivate(t *testing.T) {
 // the batch cancels all of its lanes, running or still waiting their
 // turn, and Shutdown returns only after every lane has stopped.
 func TestBatchForcedDrainCancelsEveryLane(t *testing.T) {
-	logger, assembled := newAssembledSignal()
+	logger, assembled := newLogSignal("batch assembled")
 	s := New(Config{Workers: 1, BatchWindow: 2 * time.Second, BatchMaxLanes: 3, Logger: logger})
 	s.AddGraph("g", graph.RandomGNM(300, 1200, 6))
 	if err := s.Start("127.0.0.1:0"); err != nil {

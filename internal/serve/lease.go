@@ -101,8 +101,8 @@ func (s *Server) ExecuteLease(ctx context.Context, req *QueryRequest, w LeaseWor
 
 // distConfig derives the core configuration shared by every execution
 // of a distributed query — local world or cross-replica lease. The
-// partition seed is the same derivation buildPlan uses, so the cached
-// partition is bit-identical to a from-scratch run.
+// partition is the graph's cached one (see partitionFor), identical on
+// every replica because its seed derives from the graph digest.
 func (s *Server) distConfig(entry *graphEntry, req *QueryRequest, worldSize int, tr *QueryTrace) (core.Config, error) {
 	scheme := partition.Scheme(req.Scheme)
 	if scheme == "" {
@@ -112,7 +112,7 @@ func (s *Server) distConfig(entry *graphEntry, req *QueryRequest, worldSize int,
 	if n1 <= 0 {
 		n1 = worldSize
 	}
-	part, err := entry.partitionFor(scheme, n1, req.Seed^0x70a3d70a3d70a3d7)
+	part, err := entry.partitionFor(scheme, n1)
 	if err != nil {
 		return core.Config{}, err
 	}

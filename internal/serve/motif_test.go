@@ -195,46 +195,31 @@ func TestBatchMotif(t *testing.T) {
 }
 
 // TestMotifCancelMidFlight: DELETE on a slow async motif query cancels
-// it mid-sweep, with the phase counters proving the early exit.
+// it mid-sweep, with the phase counters proving the early exit. The
+// DELETE goes out on the server's "sweep started" log record rather
+// than after polling, so a faster sweep cannot outrun the cancel.
 func TestMotifCancelMidFlight(t *testing.T) {
-	s := testServer(t, Config{Workers: 1})
+	logger, started := newLogSignal("sweep started")
+	s := testServer(t, Config{Workers: 1, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", labeledGraph(300, 1200, 4, 3))
-	wait := false
-	q := QueryRequest{Graph: "big", Kind: KindMotif, K: 16,
-		Motif: map[string]int{"0": 4, "1": 4}, Seed: 2, Rounds: 1, N2: 32, Wait: &wait}
-	resp, body := postJSON(t, base+"/v1/query", q)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: %d %s", resp.StatusCode, body)
-	}
-	v := decodeJob(t, body)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		_, jb := getBody(t, base+"/v1/jobs/"+v.ID)
-		if decodeJob(t, jb).Status == StatusRunning {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
-	if _, err := http.DefaultClient.Do(req); err != nil {
+	j := submitAsync(t, s, QueryRequest{Graph: "big", Kind: KindMotif, K: 16,
+		Motif: map[string]int{"0": 4, "1": 4}, Seed: 2, Rounds: 1, N2: 32})
+	await(t, "the sweep to start", started)
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+j.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for time.Now().Before(deadline) {
-		_, jb := getBody(t, base+"/v1/jobs/"+v.ID)
-		jv := decodeJob(t, jb)
-		if jv.Status == StatusCancelled {
-			if jv.Result != nil && jv.Result.TotalPhases > 0 && jv.Result.Phases >= jv.Result.TotalPhases {
-				t.Fatalf("phases %d/%d: sweep finished despite the cancel", jv.Result.Phases, jv.Result.TotalPhases)
-			}
-			return
-		}
-		if jv.Status == StatusDone || jv.Status == StatusFailed {
-			t.Fatalf("job finished as %s instead of cancelled", jv.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	resp.Body.Close()
+	await(t, "the cancelled job to finish", j.done)
+	v := j.view()
+	if v.Status != StatusCancelled {
+		t.Fatalf("job finished as %s instead of cancelled", v.Status)
 	}
-	t.Fatal("job never reached cancelled state")
+	if v.Result == nil || v.Result.TotalPhases == 0 || v.Result.Phases >= v.Result.TotalPhases {
+		t.Fatalf("result %+v: want a partial sweep (phases < totalPhases)", v.Result)
+	}
 }
 
 // TestMotifBadRequests: malformed constraints are rejected before

@@ -17,7 +17,7 @@ var errUnknownGraph = errors.New("unknown graph")
 
 // graphEntry is one registered graph: loaded once (or mapped lazily
 // from the store on first query), partitioned lazily per (scheme,
-// parts, seed) and reused by every query that names it — the
+// parts) and reused by every query that names it — the
 // "persistent cluster" half of the service (the other half being the
 // shared DP arena and the process-global coefficient tables, which are
 // warm for any graph).
@@ -44,8 +44,11 @@ type graphEntry struct {
 type partKey struct {
 	scheme partition.Scheme
 	n1     int
-	seed   uint64
 }
+
+// partSeedSalt separates the partition seed from the graph digest it is
+// derived from.
+const partSeedSalt = 0x70a3d70a3d70a3d7
 
 // ensure materializes G. For store-backed entries the first call maps
 // the repository file (zero-copy; pages fault in as the DP touches
@@ -77,13 +80,18 @@ func (e *graphEntry) release() {
 	}
 }
 
-// partitionFor returns the cached partition for (scheme, n1, seed),
-// loading the store's persisted artifact when one exists and computing
-// (then persisting) otherwise. The returned partition's Members cache
+// partitionFor returns the cached partition for (scheme, n1), loading
+// the store's persisted artifact when one exists and computing (then
+// persisting) otherwise. The partitioner's seed is a function of the
+// graph's content digest, not of any query: answers do not depend on
+// the partition (distributed ≡ sequential), so every query of the graph
+// shares one partition and the store keeps one artifact per (scheme,
+// n1) — on every replica alike. The returned partition's Members cache
 // is materialized before it is published, so rank goroutines may share
 // the pointer concurrently (core.Config.Part's contract).
-func (e *graphEntry) partitionFor(scheme partition.Scheme, n1 int, seed uint64) (*partition.Partition, error) {
-	key := partKey{scheme: scheme, n1: n1, seed: seed}
+func (e *graphEntry) partitionFor(scheme partition.Scheme, n1 int) (*partition.Partition, error) {
+	key := partKey{scheme: scheme, n1: n1}
+	seed := e.Digest ^ partSeedSalt
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if p, ok := e.parts[key]; ok {

@@ -153,9 +153,11 @@ func detectParsedPath(t *testing.T, g *graph.Graph, q QueryRequest) bool {
 }
 
 // TestStorePartitionArtifactReuse pins the derived-artifact path: a
-// distributed query persists its partition; a restarted server loads
-// the artifact instead of re-partitioning (observable as the .midp
-// file existing before the second server ever partitions).
+// distributed query persists its partition, keyed by the graph (its
+// digest seeds the partitioner) and not by the query, so queries with
+// other seeds reuse it; a restarted server loads the artifact instead
+// of re-partitioning (observable as the .midp file existing before the
+// second server ever partitions).
 func TestStorePartitionArtifactReuse(t *testing.T) {
 	dir := t.TempDir()
 	g := storedTestGraph()
@@ -172,15 +174,23 @@ func TestStorePartitionArtifactReuse(t *testing.T) {
 		t.Fatalf("gen1 query: %d %s", resp.StatusCode, body)
 	}
 	gen1 := decodeJob(t, body)
+	other := q
+	other.Seed = 10
+	if resp, body := postJSON(t, "http://"+s1.Addr()+"/v1/query", other); resp.StatusCode != http.StatusOK {
+		t.Fatalf("gen1 second-seed query: %d %s", resp.StatusCode, body)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	s1.Shutdown(ctx) //nolint:errcheck
 	cancel()
 
-	// The artifact must have been written through.
+	// The artifact must have been written through, once for both seeds.
 	digest := g.Digest()
-	key := store.PartKey{Scheme: "block", Parts: 2, Seed: q.Seed ^ 0x70a3d70a3d70a3d7}
+	key := store.PartKey{Scheme: "block", Parts: 2, Seed: digest ^ partSeedSalt}
 	if _, err := st1.GetPartition(digest, key); err != nil {
 		t.Fatalf("partition artifact not persisted: %v", err)
+	}
+	if names, err := st1.PartArtifacts(digest); err != nil || len(names) != 1 {
+		t.Fatalf("artifacts after two query seeds: %v (err %v), want exactly one", names, err)
 	}
 
 	// Generation 2 answers the same query identically, with the
