@@ -2,8 +2,8 @@
 # (.github/workflows/ci.yml) and PR hygiene run: build, vet,
 # formatting, full tests, and the race detector over the
 # concurrency-heavy packages (the message runtime with its fault
-# injection, the distributed core that drives it, the batched DP
-# engine with its worker pools and per-lane cancellation, and the
+# injection, the distributed core that drives it, the DP engine
+# with its worker pools and cancellation, and the
 # observability layer they feed).
 
 GO ?= go
@@ -49,8 +49,8 @@ doc-links:
 
 # Microbenchmarks of the hot kernels (GF(2^w) multiplies, DP inner
 # loop, the sweep at the pre-planner / planned / single-phase widths,
-# a 12-query burst as one strided batch / solo calls / lane-parallel
-# solo sweeps), repeated for benchstat-friendly output.
+# a 12-query burst as back-to-back solo calls / lane-parallel solo
+# sweeps), repeated for benchstat-friendly output.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/gf ./internal/core ./internal/mld
 

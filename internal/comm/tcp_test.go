@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -23,32 +24,55 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// freshRootTries bounds withFreshRoot's attempts.
+const freshRootTries = 3
+
+// withFreshRoot runs world on a fresh rendezvous address and returns
+// its per-rank errors (rank 0 first). freePort closes its listener
+// before rank 0 binds the port, so another process can take it in
+// between; when rank 0's error is EADDRINUSE the whole world is run
+// again on a new port, up to freshRootTries times.
+func withFreshRoot(t *testing.T, world func(root string) []error) []error {
+	t.Helper()
+	var errs []error
+	for try := 1; try <= freshRootTries; try++ {
+		errs = world(freePort(t))
+		if !errors.Is(errs[0], syscall.EADDRINUSE) {
+			break
+		}
+		t.Logf("try %d: rendezvous port taken before rank 0 bound it", try)
+	}
+	return errs
+}
+
 // runTCPWorld runs fn as an SPMD program over a TCP world hosted in this
 // process (one goroutine per rank, real sockets in between).
 func runTCPWorld(t *testing.T, n int, fn func(c *Comm) error) error {
 	t.Helper()
-	root := freePort(t)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("panic: %v", p)
+	errs := withFreshRoot(t, func(root string) []error {
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for r := 0; r < n; r++ {
+			go func(rank int) {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						errs[rank] = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				c, err := ConnectTCP(rank, n, root, CostModel{})
+				if err != nil {
+					errs[rank] = err
+					return
 				}
-			}()
-			c, err := ConnectTCP(rank, n, root, CostModel{})
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			defer c.Close()
-			errs[rank] = fn(c)
-		}(r)
-	}
-	wg.Wait()
+				defer c.Close()
+				errs[rank] = fn(c)
+			}(r)
+		}
+		wg.Wait()
+		return errs
+	})
 	for r, err := range errs {
 		if err != nil {
 			return &RankError{Rank: r, Err: err}
@@ -183,71 +207,73 @@ func TestTCPSendRetryCountersRecorded(t *testing.T) {
 	// resilience counters) and escalate a structured *FaultError — not
 	// retry forever and not report success.
 	const maxRetries = 2
-	root := freePort(t)
-	peerGone := make(chan struct{})
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
 	var retries, backoff int64
-	go func() { // rank 0: the surviving sender
-		defer wg.Done()
-		c, err := ConnectTCPOpts(0, 2, root, CostModel{}, TCPOptions{
-			ConnectTimeout: 200 * time.Millisecond,
-			MaxRetries:     maxRetries,
-			BackoffBase:    time.Millisecond,
-			BackoffMax:     5 * time.Millisecond,
-		})
-		if err != nil {
-			errs[0] = err
-			return
-		}
-		defer c.Close()
-		c.EnableObs()
-		c.Send(1, 1, []byte{0})
-		c.Recv(1, 1)
-		<-peerGone
-		// The kernel accepts a small write to a socket whose peer has just
-		// closed (the reset only comes back in answer to it), so the first
-		// sends after the death may still "succeed" without entering the
-		// retry budget. Keep sending until the fault surfaces; only the
-		// send that fails retries, so the counters below stay exact.
-		trySend := func() (p any) {
-			defer func() { p = recover() }()
-			c.Send(1, 2, []byte{7})
-			return nil
-		}
-		var p any
-		for deadline := time.Now().Add(10 * time.Second); p == nil && time.Now().Before(deadline); {
-			p = trySend()
-		}
-		fe, ok := p.(error)
-		var fault *FaultError
-		switch {
-		case p == nil:
-			errs[0] = fmt.Errorf("sends to dead rank kept succeeding")
-		case !ok:
-			errs[0] = fmt.Errorf("panic was not an error: %v", p)
-		case !errors.As(fe, &fault) || fault.To != 1 || fault.Attempts != maxRetries+1:
-			errs[0] = fmt.Errorf("want FaultError to rank 1 after %d attempts, got %v", maxRetries+1, fe)
-		}
-		s := c.ObsSnapshot()
-		retries = s.Counter(obs.SendRetries)
-		backoff = s.Counter(obs.BackoffNanos)
-	}()
-	go func() { // rank 1: connects, exchanges once, and dies
-		defer wg.Done()
-		c, err := ConnectTCP(1, 2, root, CostModel{})
-		if err != nil {
-			errs[1] = err
+	errs := withFreshRoot(t, func(root string) []error {
+		peerGone := make(chan struct{})
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // rank 0: the surviving sender
+			defer wg.Done()
+			c, err := ConnectTCPOpts(0, 2, root, CostModel{}, TCPOptions{
+				ConnectTimeout: 200 * time.Millisecond,
+				MaxRetries:     maxRetries,
+				BackoffBase:    time.Millisecond,
+				BackoffMax:     5 * time.Millisecond,
+			})
+			if err != nil {
+				errs[0] = err
+				return
+			}
+			defer c.Close()
+			c.EnableObs()
+			c.Send(1, 1, []byte{0})
+			c.Recv(1, 1)
+			<-peerGone
+			// The kernel accepts a small write to a socket whose peer has just
+			// closed (the reset only comes back in answer to it), so the first
+			// sends after the death may still "succeed" without entering the
+			// retry budget. Keep sending until the fault surfaces; only the
+			// send that fails retries, so the counters below stay exact.
+			trySend := func() (p any) {
+				defer func() { p = recover() }()
+				c.Send(1, 2, []byte{7})
+				return nil
+			}
+			var p any
+			for deadline := time.Now().Add(10 * time.Second); p == nil && time.Now().Before(deadline); {
+				p = trySend()
+			}
+			fe, ok := p.(error)
+			var fault *FaultError
+			switch {
+			case p == nil:
+				errs[0] = fmt.Errorf("sends to dead rank kept succeeding")
+			case !ok:
+				errs[0] = fmt.Errorf("panic was not an error: %v", p)
+			case !errors.As(fe, &fault) || fault.To != 1 || fault.Attempts != maxRetries+1:
+				errs[0] = fmt.Errorf("want FaultError to rank 1 after %d attempts, got %v", maxRetries+1, fe)
+			}
+			s := c.ObsSnapshot()
+			retries = s.Counter(obs.SendRetries)
+			backoff = s.Counter(obs.BackoffNanos)
+		}()
+		go func() { // rank 1: connects, exchanges once, and dies
+			defer wg.Done()
+			c, err := ConnectTCP(1, 2, root, CostModel{})
+			if err != nil {
+				errs[1] = err
+				close(peerGone)
+				return
+			}
+			c.Send(0, 1, []byte{1})
+			c.Recv(0, 1)
+			c.Close()
 			close(peerGone)
-			return
-		}
-		c.Send(0, 1, []byte{1})
-		c.Recv(0, 1)
-		c.Close()
-		close(peerGone)
-	}()
-	wg.Wait()
+		}()
+		wg.Wait()
+		return errs
+	})
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -264,40 +290,42 @@ func TestTCPSendRetryCountersRecorded(t *testing.T) {
 func TestTCPPeerDeathFailsLoudly(t *testing.T) {
 	// Rank 1 closes immediately; rank 0's blocking recv must panic
 	// (captured as RankError), not hang.
-	root := freePort(t)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if p := recover(); p != nil {
-				errs[0] = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		c, err := ConnectTCP(0, 2, root, CostModel{})
-		if err != nil {
-			errs[0] = err
-			return
-		}
-		// peer is gone; this recv can never be satisfied. Close our
-		// endpoint from another goroutine once the peer's death is
-		// certain, so take() wakes up and panics.
+	errs := withFreshRoot(t, func(root string) []error {
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		wg.Add(2)
 		go func() {
-			c.Close()
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[0] = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			c, err := ConnectTCP(0, 2, root, CostModel{})
+			if err != nil {
+				errs[0] = err
+				return
+			}
+			// peer is gone; this recv can never be satisfied. Close our
+			// endpoint from another goroutine once the peer's death is
+			// certain, so take() wakes up and panics.
+			go func() {
+				c.Close()
+			}()
+			c.Recv(1, 1)
 		}()
-		c.Recv(1, 1)
-	}()
-	go func() {
-		defer wg.Done()
-		c, err := ConnectTCP(1, 2, root, CostModel{})
-		if err != nil {
-			errs[1] = err
-			return
-		}
-		c.Close() // die without sending
-	}()
-	wg.Wait()
+		go func() {
+			defer wg.Done()
+			c, err := ConnectTCP(1, 2, root, CostModel{})
+			if err != nil {
+				errs[1] = err
+				return
+			}
+			c.Close() // die without sending
+		}()
+		wg.Wait()
+		return errs
+	})
 	if errs[0] == nil {
 		t.Fatal("recv from dead peer returned successfully")
 	}

@@ -1,116 +1,138 @@
 package mld
 
 // The polynomial-family engine: ONE implementation of the round loop,
-// the Gray-code phase sweep, the batch lane layout, arena slab
-// recycling, and per-lane cancellation, shared by every detection
-// workload. A Family contributes only what is mathematically its own —
-// how a round's randomness is derived, how the DP slabs are laid out,
-// the init row, the per-level transfer, and the finalize/fold steps —
-// while the engine owns everything the path/tree/scanstat trio used to
-// triplicate (and the batch evaluators triplicated again).
+// the Gray-code phase sweep, arena slab recycling and cancellation,
+// shared by every detection workload. A Family contributes only what is
+// mathematically its own — how a round's randomness is derived, how the
+// DP slabs are laid out, the init row, the per-level transfer, and the
+// finalize/fold steps — so the Family is the evaluation oracle of the
+// sieve and the engine is the sieve.
 //
-// Execution model: lanes (laneState) are clustered into groups
-// (famGroup), each group owning one Family instance and one
-// lane-contiguous buffer layout. Solo evaluators are the one-lane,
-// one-group special case, which keeps their outputs and observability
-// byte-identical to a batch of one (golden_test.go pins this across
-// the refactor). Per round, every group's live lanes draw fresh
-// assignments; per phase q0, the engine masks cancelled lanes, retires
-// lanes past their Gray prefix, and hands the survivors to the family
-// as InitRow → Transfer* → Finalize.
+// Execution model: the engine drives exactly one lane (laneState) per
+// run. Per round the lane draws a fresh assignment; per phase q0 the
+// engine checks cancellation, trims the final short phase, and calls
+// the family's InitRow → Transfer* → Finalize. A phase of width nb
+// packs vertex i's DP vector at elements [i·nb, (i+1)·nb) of every
+// slab, so a finished level is the slab's first n·nb elements.
 
 import (
 	"sync/atomic"
 
+	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
 	"github.com/midas-hpc/midas/internal/obs"
 )
 
 // Family is one polynomial family (k-path, k-tree, scan-statistics,
 // constrained motif) as seen by the sweep engine. One instance serves
-// one lane group for the duration of a run; implementations keep their
-// DP slabs as instance state between Alloc and Free.
+// one lane for the duration of a run; implementations keep their DP
+// slabs as instance state between Alloc and Free.
 type Family interface {
 	// Kind names the family for diagnostics.
 	Kind() string
 
-	// NewAssignment derives one lane's randomness for a round — a pure
+	// NewAssignment derives the lane's randomness for a round — a pure
 	// function of (lane seed, round, family tag), so distributed ranks
-	// and batched lanes reproduce solo runs exactly.
+	// reproduce solo runs exactly.
 	NewAssignment(n int, st *laneState, round int) *Assignment
 
-	// BeginRound resets a lane's per-round accumulator.
+	// BeginRound resets the lane's per-round accumulator.
 	BeginRound(st *laneState)
 
 	// CountPhases reports whether the engine charges phase spans and
-	// per-lane phase counters for this family. The scan table keeps
+	// the lane's phase counter for this family. The scan table keeps
 	// its historical phase-less accounting; path/tree/motif count.
 	CountPhases() bool
 
-	// Alloc grabs the group's DP slabs for one round's sweep from the
-	// options arena; Free returns them. The group's live lanes and
-	// stride are fixed when Alloc runs.
-	Alloc(e *groupRun)
-	Free(e *groupRun)
+	// Alloc grabs the DP slabs for one round's sweep (n × N2 elements
+	// each) from the options arena; Free returns them.
+	Alloc(e *laneRun)
+	Free(e *laneRun)
 
-	// InitRow computes the level-1 DP row for the phase's live lanes
-	// (base values x_i(gray(q0+q)) and whatever the family layers on
-	// them) and folds any lane whose polynomial is a single level.
-	InitRow(e *groupRun)
+	// InitRow computes the level-1 DP row of the phase (base values
+	// x_i(gray(q0+q)) and whatever the family layers on them) and folds
+	// the lane if its polynomial is a single level.
+	InitRow(e *laneRun)
 
-	// Transfers is the number of per-level transfer steps for the
-	// phase's live lane set (evaluated once per phase).
-	Transfers(e *groupRun) int
+	// Transfers is the number of per-level transfer steps of a phase.
+	Transfers(e *laneRun) int
 
 	// Transfer runs transfer step ∈ [1, Transfers] — one DP level —
-	// folding any lane that finishes at this level.
-	Transfer(e *groupRun, step int)
+	// folding the lane if it finishes at this level.
+	Transfer(e *laneRun, step int)
 
 	// Finalize folds whatever the transfer steps did not (families
-	// whose lanes all finish at the last level fold here).
-	Finalize(e *groupRun)
+	// that finish at the last level fold here).
+	Finalize(e *laneRun)
 
-	// EndRound inspects a lane's round accumulator after a completed
+	// EndRound inspects the lane's round accumulator after a completed
 	// sweep: families with found/not-found semantics mark the lane
 	// found or done, table families fold the totals and run on.
 	EndRound(st *laneState, round int)
 }
 
-// famGroup is one lane cluster sharing a Family instance and a
-// lane-contiguous layout (lane i of the round's live set at element
-// offset i·n2 of every vertex row, stride = live lanes × n2).
-type famGroup struct {
-	fam Family
-	sts []*laneState // every lane of the group
-
-	// per-round state, owned by the engine
-	live      []*laneState // lanes active this round
-	phaseLive []*laneState // lanes surviving the current phase's masks
-	stride    int
-	itersLive uint64 // deepest live lane's 2^k this round
-	alloced   bool
+// laneState tracks one query through the round/phase loops.
+type laneState struct {
+	BatchLane
+	iters       uint64 // 2^k: the lane's iteration space
+	roundsTotal int
+	a           *Assignment
+	nb          int // width of the current phase
+	total       gf.Elem
+	found       bool
+	done        bool
+	err         error
+	roundsRun   int64
+	phases      int64
+	scan        *scanExt // scan lanes only: table + per-round totals
 }
 
-// groupRun is the engine→family call context for one group: the graph,
-// options, layout, and the current phase's live lanes.
-type groupRun struct {
+// newLane builds the state of lane l, its round budget derived from
+// the lane's own amplification knobs exactly as a solo run derives it.
+func newLane(l BatchLane, opt Options) *laneState {
+	return &laneState{
+		BatchLane:   l,
+		iters:       uint64(1) << uint(l.K),
+		roundsTotal: laneOptions(opt, l).RoundsFor(l.K),
+	}
+}
+
+// soloLane is the lane of a sequential entry point: the Options'
+// seeding, no lane context (the run's context is opt.Ctx).
+func soloLane(k int, opt Options) *laneState {
+	return newLane(BatchLane{K: k, Seed: opt.Seed, Epsilon: opt.Epsilon, Rounds: opt.Rounds}, opt)
+}
+
+// assignedLane is a lane with a preset assignment, for one sweep of one
+// round (the *Round evaluators).
+func assignedLane(a *Assignment) *laneState {
+	return &laneState{BatchLane: BatchLane{K: a.K}, iters: uint64(1) << uint(a.K), a: a}
+}
+
+// fail resolves an open lane to err.
+func (st *laneState) fail(err error) {
+	if !st.done {
+		st.done, st.err = true, err
+	}
+}
+
+// accumulate folds a finished DP level — the first n·nb elements of
+// its slab — into the lane's round total.
+func (st *laneState) accumulate(vals []gf.Elem) {
+	for _, v := range vals {
+		st.total ^= v
+	}
+}
+
+// laneRun is the engine→family call context of one sweep: the graph,
+// options, planned width, the lane, and the current phase.
+type laneRun struct {
 	g       *graph.Graph
-	gr      *famGroup
 	opt     Options
 	n2      int
 	q0      uint64
-	live    []*laneState // live lanes of the current phase
-	skipped *int64       // shared dead-cell counter, flushed per sweep
-}
-
-// liveWidth is the summed element width of the phase's live lanes —
-// the per-level DP width the recorder charges.
-func (e *groupRun) liveWidth() int64 {
-	var w int64
-	for _, st := range e.live {
-		w += int64(st.nb)
-	}
-	return w
+	st      *laneState
+	skipped atomic.Int64 // dead-cell counter, flushed per sweep
 }
 
 // levelElems is the analytic per-iteration element count of one DP
@@ -119,228 +141,101 @@ func levelElems(g *graph.Graph) int64 {
 	return int64(2*g.NumEdges() + g.NumVertices())
 }
 
-// runGroups is the engine's round loop: per round, collect each
-// group's active lanes, draw assignments, sweep the iteration space
-// once for all groups jointly, then let each family judge its lanes'
-// totals. A batch-wide context abort fails every unresolved lane open
-// with the context error.
-func runGroups(g *graph.Graph, groups []*famGroup, n2 int, opt Options) error {
-	maxRounds := 0
-	for _, gr := range groups {
-		for _, st := range gr.sts {
-			if st.roundsTotal > maxRounds {
-				maxRounds = st.roundsTotal
-			}
-		}
-	}
+// runLane is the engine's round loop: per round, draw the lane's
+// assignment, sweep the iteration space at width n2, then let the
+// family judge the round's totals. An expired opt.Ctx fails the lane
+// open with the context error, which runLane also returns.
+func runLane(g *graph.Graph, fam Family, st *laneState, n2 int, opt Options) error {
 	n := g.NumVertices()
-	var batchErr error
-	var phasesDone int64 // cumulative across rounds, fed to opt.Progress
-	for round := 0; round < maxRounds && batchErr == nil; round++ {
-		activeTotal := 0
-		for _, gr := range groups {
-			gr.live = gr.live[:0]
-			for _, st := range gr.sts {
-				if !st.done && round < st.roundsTotal {
-					gr.live = append(gr.live, st)
-				}
-			}
-			activeTotal += len(gr.live)
-		}
-		if activeTotal == 0 {
-			break
-		}
+	for round := 0; !st.done && round < st.roundsTotal; round++ {
 		if err := opt.ctxErr(); err != nil {
-			batchErr = err
-			break
-		}
-		opt.obsSpan(obs.RoundName, round, "round")
-		opt.Obs.Add(obs.Rounds, int64(activeTotal))
-		for _, gr := range groups {
-			for _, st := range gr.live {
-				st.a = gr.fam.NewAssignment(n, st, round)
-				gr.fam.BeginRound(st)
-				st.roundsRun++
-			}
-		}
-		err := sweepGroupsFrom(g, groups, n2, opt, &phasesDone)
-		opt.obsEnd()
-		if err != nil {
-			batchErr = err
-			break
-		}
-		for _, gr := range groups {
-			for _, st := range gr.live {
-				if st.done {
-					continue // cancelled mid-round; the accumulator is void
-				}
-				gr.fam.EndRound(st, round)
-			}
-		}
-	}
-	if batchErr != nil {
-		for _, gr := range groups {
-			failOpen(gr.sts, batchErr)
-		}
-	}
-	return batchErr
-}
-
-// sweepGroups runs one round's joint pass over the iteration space:
-// phase q0 of every group with live work runs before any group
-// advances to q0+n2, so interleaved groups share the sweep. Per group
-// and phase the engine masks cancelled lanes (their LaneResult carries
-// the context error; the rest of the batch runs on), retires lanes
-// past their Gray prefix, and trims the final short phase, then calls
-// the family's InitRow / Transfer / Finalize hooks.
-func sweepGroups(g *graph.Graph, groups []*famGroup, n2 int, opt Options) error {
-	var done int64
-	return sweepGroupsFrom(g, groups, n2, opt, &done)
-}
-
-// sweepGroupsFrom is sweepGroups with an externally-owned cumulative
-// phase counter, so the round loop reports run-wide progress through
-// opt.Progress rather than per-sweep progress.
-func sweepGroupsFrom(g *graph.Graph, groups []*famGroup, n2 int, opt Options, done *int64) error {
-	var itersMax uint64
-	anyAlloc := false
-	for _, gr := range groups {
-		gr.alloced = false
-		if len(gr.live) == 0 {
-			continue
-		}
-		gr.stride = len(gr.live) * n2
-		var it uint64
-		for i, st := range gr.live {
-			st.off = i * n2
-			if st.iters > it {
-				it = st.iters
-			}
-		}
-		gr.itersLive = it
-		if it > itersMax {
-			itersMax = it
-		}
-		gr.fam.Alloc(&groupRun{g: g, gr: gr, opt: opt, n2: n2})
-		gr.alloced = true
-		anyAlloc = true
-	}
-	if !anyAlloc {
-		return nil
-	}
-	defer func() {
-		for _, gr := range groups {
-			if gr.alloced {
-				gr.fam.Free(&groupRun{g: g, gr: gr, opt: opt, n2: n2})
-				gr.alloced = false
-			}
-		}
-	}()
-	var skipped int64
-	defer func() { opt.Obs.Add(obs.CellsSkipped, skipped) }()
-
-	for q0 := uint64(0); q0 < itersMax; q0 += uint64(n2) {
-		if err := opt.ctxErr(); err != nil {
+			st.fail(err)
 			return err
 		}
-		anyLive := false
-		for _, gr := range groups {
-			if !gr.alloced || q0 >= gr.itersLive {
-				continue
-			}
-			gr.phaseLive = gr.phaseLive[:0]
-			for _, st := range gr.live {
-				if st.done || q0 >= st.iters {
-					continue // retired: answer already folded from its Gray prefix
-				}
-				if err := st.ctxErr(); err != nil {
-					st.done, st.err = true, err // mask out; the rest keep running
-					continue
-				}
-				st.nb = n2
-				if rem := st.iters - q0; uint64(st.nb) > rem {
-					st.nb = int(rem)
-				}
-				gr.phaseLive = append(gr.phaseLive, st)
-			}
-			if len(gr.phaseLive) == 0 {
-				continue
-			}
-			anyLive = true
-			e := &groupRun{g: g, gr: gr, opt: opt, n2: n2, q0: q0, live: gr.phaseLive, skipped: &skipped}
-			count := gr.fam.CountPhases()
-			if count {
-				opt.obsSpan(obs.PhaseName, int(q0)/n2, "phase")
-			}
-			gr.fam.InitRow(e)
-			// One cancellation point per DP level, so the latency of a
-			// cancel or deadline does not grow with the phase width.
-			for step, nT := 1, gr.fam.Transfers(e); step <= nT; step++ {
-				if err := opt.ctxErr(); err != nil {
-					if count {
-						opt.obsEnd()
-					}
-					return err
-				}
-				if e.dropCancelled(); len(e.live) == 0 {
-					break
-				}
-				gr.fam.Transfer(e, step)
-			}
-			gr.fam.Finalize(e)
-			if count {
-				// Only finished phases count: Phases < TotalPhases is the
-				// proof of an unfinished sweep, mid-phase cancels included.
-				for _, st := range e.live {
-					st.phases++
-				}
-				opt.Obs.Add(obs.Phases, 1)
-				opt.obsEnd()
-				*done++
-				if opt.Progress != nil {
-					opt.Progress(*done)
-				}
-			}
+		opt.obsSpan(obs.RoundName, round, "round")
+		opt.Obs.Add(obs.Rounds, 1)
+		st.a = fam.NewAssignment(n, st, round)
+		fam.BeginRound(st)
+		st.roundsRun++
+		err := sweep(g, fam, st, n2, opt)
+		opt.obsEnd()
+		if err != nil {
+			st.fail(err)
+			return err
 		}
-		if !anyLive {
-			break
+		if !st.done { // a lane cancelled mid-round has a void accumulator
+			fam.EndRound(st, round)
 		}
 	}
 	return nil
 }
 
-// dropCancelled masks out of the running phase every live lane whose
-// own context has expired: the lane resolves to its context error and
-// the rest of the group runs on (its slab columns are simply no longer
-// updated or folded).
-func (e *groupRun) dropCancelled() {
-	kept := e.live[:0]
-	for _, st := range e.live {
-		if err := st.ctxErr(); err != nil {
-			st.done, st.err = true, err
-			continue
+// sweep runs one round's pass over the lane's 2^k iteration space in
+// phases of n2, the last one trimmed. It returns opt.Ctx's error if the
+// run is cancelled; a cancelled lane context (BatchLane.Ctx) instead
+// resolves the lane to that error and ends the sweep quietly. Both are
+// checked at every phase and every DP level, so cancel latency is one
+// level however wide the planner makes phases.
+func sweep(g *graph.Graph, fam Family, st *laneState, n2 int, opt Options) error {
+	e := &laneRun{g: g, opt: opt, n2: n2, st: st}
+	fam.Alloc(e)
+	defer fam.Free(e)
+	defer func() { opt.Obs.Add(obs.CellsSkipped, e.skipped.Load()) }()
+	count := fam.CountPhases()
+	for q0 := uint64(0); q0 < st.iters; q0 += uint64(n2) {
+		if stop, err := e.cancelled(); stop {
+			return err
 		}
-		kept = append(kept, st)
+		e.q0 = q0
+		st.nb = n2
+		if rem := st.iters - q0; uint64(st.nb) > rem {
+			st.nb = int(rem)
+		}
+		if count {
+			opt.obsSpan(obs.PhaseName, int(q0)/n2, "phase")
+		}
+		fam.InitRow(e)
+		for step, nT := 1, fam.Transfers(e); step <= nT; step++ {
+			if stop, err := e.cancelled(); stop {
+				if count {
+					opt.obsEnd()
+				}
+				return err
+			}
+			fam.Transfer(e, step)
+		}
+		fam.Finalize(e)
+		if count {
+			// Only finished phases count: Phases < TotalPhases is the
+			// proof of an unfinished sweep, mid-phase cancels included.
+			st.phases++
+			opt.Obs.Add(obs.Phases, 1)
+			opt.obsEnd()
+			if opt.Progress != nil {
+				opt.Progress(st.phases)
+			}
+		}
 	}
-	e.live = kept
+	return nil
+}
+
+// cancelled reports whether the sweep must stop before the next phase
+// or level, and the error sweep returns: opt.Ctx's, or nil when only
+// the lane's own context expired (the lane carries that error).
+func (e *laneRun) cancelled() (bool, error) {
+	if err := e.opt.ctxErr(); err != nil {
+		return true, err
+	}
+	if err := e.st.ctxErr(); err != nil {
+		e.st.fail(err)
+		return true, nil
+	}
+	return false, nil
 }
 
 // addSkipped folds a worker's dead-cell count into the sweep counter.
-func (e *groupRun) addSkipped(sk int64) {
+func (e *laneRun) addSkipped(sk int64) {
 	if sk != 0 {
-		atomic.AddInt64(e.skipped, sk)
+		e.skipped.Add(sk)
 	}
-}
-
-// soloLane builds the one-lane state through which the sequential
-// entry points reuse the engine: a batch of one is byte-identical to
-// the historical solo evaluators.
-func soloLane(k int, opt Options) *laneState {
-	st := &laneState{
-		BatchLane: BatchLane{K: k, Seed: opt.Seed, Epsilon: opt.Epsilon, Rounds: opt.Rounds},
-		k:         k,
-		iters:     uint64(1) << uint(k),
-	}
-	st.roundsTotal = opt.RoundsFor(k)
-	return st
 }

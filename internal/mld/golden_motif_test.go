@@ -1,10 +1,10 @@
 package mld
 
-// Constrained-motif goldens: exact per-round GF totals of the motif
-// evaluator and per-lane results of a heterogeneous motif batch,
-// committed to testdata. Field arithmetic is exact, so any reordering
-// of the motif transfer (for example factoring the local piece out of
-// the neighbour sum) must reproduce these bytes identically.
+// Constrained-motif goldens: exact per-round GF totals and answers of
+// the motif evaluator, committed to testdata. Field arithmetic is
+// exact, so any reordering of the motif transfer (for example factoring
+// the local piece out of the neighbour sum) must reproduce these bytes
+// identically.
 // Regenerate ONLY when the randomness derivation itself changes, with:
 // go test ./internal/mld -run TestGoldenMotif -update-golden
 //
@@ -24,8 +24,7 @@ import (
 )
 
 type goldenMotifFile struct {
-	Solo    []goldenRun   `json:"solo"`
-	Batches []goldenBatch `json:"batches"`
+	Solo []goldenRun `json:"solo"`
 }
 
 // motifGoldenGraphs builds the fixed labeled graphs: two small ones and
@@ -94,43 +93,8 @@ func buildGoldenMotifSolo(t *testing.T) []goldenRun {
 	return out
 }
 
-func buildGoldenMotifBatches(t *testing.T) []goldenBatch {
-	t.Helper()
-	gA, _, gC := motifGoldenGraphs()
-	var out []goldenBatch
-
-	// Heterogeneous specs and sizes in one group: free, partial, exact,
-	// a k=1 lane (folds at the init row), a k>n lane (resolves at once)
-	// and a per-lane round override, at a narrow width.
-	lanes := []BatchLane{
-		{Motif: &MotifSpec{K: 5}, Seed: 51},
-		{Motif: &MotifSpec{K: 4, Counts: map[int32]int{0: 2}}, Seed: 52},
-		{Motif: &MotifSpec{K: 4, Counts: map[int32]int{0: 2, 1: 1, 2: 1}}, Seed: 53, Rounds: 2},
-		{Motif: &MotifSpec{K: 1, Counts: map[int32]int{2: 1}}, Seed: 54},
-		{Motif: &MotifSpec{K: 20}, Seed: 55},
-	}
-	res, err := DetectMotifBatch(gA, lanes, Options{N2: 4, Rounds: 3})
-	if err != nil {
-		t.Fatalf("motif batch: %v", err)
-	}
-	out = append(out, goldenBatch{Name: "batch/motif/mixed", Lanes: laneGolden(res)})
-
-	// Wide lanes (vector axpy) with two workers.
-	wide := []BatchLane{
-		{Motif: &MotifSpec{K: 6, Counts: map[int32]int{0: 2, 1: 1}}, Seed: 56},
-		{Motif: &MotifSpec{K: 5, Counts: map[int32]int{1: 2}}, Seed: 57},
-		{Motif: &MotifSpec{K: 6, Counts: map[int32]int{0: 2, 1: 2, 2: 2}}, Seed: 58},
-	}
-	res, err = DetectMotifBatch(gC, wide, Options{N2: 32, Rounds: 2, Workers: 2})
-	if err != nil {
-		t.Fatalf("wide motif batch: %v", err)
-	}
-	out = append(out, goldenBatch{Name: "batch/motif/wide/workers2", Lanes: laneGolden(res)})
-	return out
-}
-
 func TestGoldenMotif(t *testing.T) {
-	got := goldenMotifFile{Solo: buildGoldenMotifSolo(t), Batches: buildGoldenMotifBatches(t)}
+	got := goldenMotifFile{Solo: buildGoldenMotifSolo(t)}
 	path := filepath.Join("testdata", "golden_motif.json")
 	if *updateGolden {
 		buf, err := json.MarshalIndent(got, "", " ")

@@ -1,20 +1,20 @@
 package mld
 
 // Refactor-equivalence goldens: exact transcripts (per-round GF totals,
-// per-lane batch results, feasibility tables) of the path / tree /
-// scanstat evaluators, solo and batched, committed to testdata. The
+// feasibility tables) of the path / tree / scanstat evaluators and the
+// per-lane results of DetectPathBatch, committed to testdata. The
 // arithmetic is exact and every Assignment is a pure function of
 // (seed, round, tag), so a faithful restructuring of the evaluators —
 // such as the Family-engine extraction — must reproduce these bytes
 // identically. Regenerate ONLY when the randomness derivation itself
 // changes, with: go test ./internal/mld -run TestGolden -update-golden
 //
-// The matrix deliberately covers the behaviors the batch engine is
-// most likely to disturb: heterogeneous lane k (Gray-prefix
-// retirement), k=1 lanes (fold at the init row), shared-arena reuse
-// across calls, per-lane mid-flight cancellation, batch-wide context
-// abort, NoGray / NoFingerprints ablations, multi-worker vertex loops,
-// and N2 widths that leave short final phases.
+// The matrix deliberately covers the behaviors a restructuring is most
+// likely to disturb: heterogeneous lane k, k=1 lanes (fold at the init
+// row), shared-arena reuse across calls, per-lane mid-flight
+// cancellation, batch-wide context abort, NoGray / NoFingerprints
+// ablations, multi-worker vertex loops, and N2 widths that leave short
+// final phases.
 
 import (
 	"context"
@@ -242,7 +242,7 @@ func buildGoldenSolo(t *testing.T) []goldenRun {
 
 func buildGoldenBatches(t *testing.T) []goldenBatch {
 	t.Helper()
-	gA, _, gW := goldenGraphs()
+	gA, _, _ := goldenGraphs()
 	var out []goldenBatch
 
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -295,35 +295,6 @@ func buildGoldenBatches(t *testing.T) []goldenBatch {
 	// open, every unresolved lane carrying the context error.
 	res, err = DetectPathBatch(gA, cancelLanes[:2], Options{N2: 8, Rounds: 2, Ctx: cancelled})
 	out = append(out, goldenBatch{Name: "batch/path/flight-abort", Err: errString(err), Lanes: laneGolden(res)})
-
-	// Tree batch: two lanes sharing a template digest (one group, one
-	// decomposition) plus a different shape, and a cancelled lane.
-	treeLanes := []BatchLane{
-		{Template: graph.PathTemplate(3), Seed: 11},
-		{Template: graph.PathTemplate(3), Seed: 12},
-		{Template: graph.StarTemplate(4), Seed: 13},
-		{Template: graph.RandomTemplate(5, 7), Seed: 14, Ctx: cancelled},
-	}
-	res, err = DetectTreeBatch(gA, treeLanes, Options{N2: 4, Rounds: 2})
-	if err != nil {
-		t.Fatalf("tree batch: %v", err)
-	}
-	out = append(out, goldenBatch{Name: "batch/tree/grouped", Lanes: laneGolden(res)})
-
-	// Scan batch: heterogeneous (k, zmax) lanes over the weighted
-	// graph, including a k>n lane (still a full table) and a cancelled
-	// lane (nil table, context error).
-	scanLanes := []BatchLane{
-		{K: 3, ZMax: 5, Seed: 15},
-		{K: 4, ZMax: 2, Seed: 16},
-		{K: 12, ZMax: 3, Seed: 17, Rounds: 1},
-		{K: 3, ZMax: 4, Seed: 18, Ctx: cancelled},
-	}
-	res, err = ScanTableBatch(gW, scanLanes, Options{N2: 4, Rounds: 2})
-	if err != nil {
-		t.Fatalf("scan batch: %v", err)
-	}
-	out = append(out, goldenBatch{Name: "batch/scan/mixed", Lanes: laneGolden(res)})
 
 	return out
 }

@@ -42,18 +42,15 @@
 //
 // # Multi-query batching
 //
-// DetectPathBatch, DetectTreeBatch and ScanTableBatch answer several
-// queries ("lanes") with one pass over the iteration space. Each lane
-// keeps its own Assignment and a contiguous N2-wide block of every DP
-// row (stride = lanes × N2), so the per-constant multiply kernels
-// stream across lanes and answers stay byte-identical to the solo
-// evaluators. Lanes of smaller k ride the prefix of a deeper sweep —
-// gray(q) restricted to q < 2^k' enumerates exactly the k'-lane's
-// iteration space — and retire early; a lane whose BatchLane.Ctx is
-// cancelled is masked out at the next phase boundary while the rest of
-// the batch runs on. docs/BATCHING.md derives the layout, the prefix
-// bijection, and the amortized cost model; internal/core mirrors the
-// scheme for distributed k-path batches.
+// The sweep engine (family.go) drives exactly one query ("lane") per
+// run. DetectPathBatch answers several k-path queries as a schedule of
+// such runs, each at its own planned width, so every answer is
+// byte-identical to the solo evaluator; a lane whose BatchLane.Ctx is
+// cancelled stops at the next phase or level while the rest run on.
+// The strided multi-lane sweep, where lanes share one pass and one set
+// of messages, is distributed-only: internal/core's RunPathBatch.
+// docs/BATCHING.md derives its layout, the Gray-prefix bijection and
+// the cost model.
 package mld
 
 import (

@@ -89,7 +89,7 @@ func (s *MotifSpec) Admits(hist map[int32]int) bool {
 //
 // The full matrix is drawn before masking, so the randomness consumed
 // is a pure function of (seed, round, tagMotif, K) exactly like every
-// other assignment — ranks and batch lanes reproduce solo runs.
+// other assignment — distributed ranks reproduce solo runs.
 func NewMotifAssignment(g *graph.Graph, spec *MotifSpec, seed uint64, round int) *Assignment {
 	n := g.NumVertices()
 	k := spec.K
@@ -121,16 +121,15 @@ func NewMotifAssignment(g *graph.Graph, spec *MotifSpec, seed uint64, round int)
 
 // motifFamily is the constrained-motif polynomial as a sweep-engine
 // Family: the scan-statistics recurrence without the weight axis —
-// P(i,1) = x_i, P(i,j) = Σ_u Σ_{j'} r·P(i,j')⊙P(u,j−j') — over
-// lane-contiguous level slabs, each lane folding at its own K. The
-// local piece does not depend on u, so Transfer evaluates the factored
-// form P(i,j) = Σ_{j'} P(i,j') ⊙ Σ_u r·P(u,j−j'): constant-multiply
-// axpys per (edge, split), one Hadamard product per (vertex, split).
-// Constraints live entirely in the assignment's zero pattern, so
-// heterogeneous specs share one group.
+// P(i,1) = x_i, P(i,j) = Σ_u Σ_{j'} r·P(i,j')⊙P(u,j−j') — over one
+// slab per level, the lane folding at level K. The local piece does
+// not depend on u, so Transfer evaluates the factored form
+// P(i,j) = Σ_{j'} P(i,j') ⊙ Σ_u r·P(u,j−j'): constant-multiply axpys
+// per (edge, split), one Hadamard product per (vertex, split).
+// Constraints live entirely in the assignment's zero pattern.
 type motifFamily struct {
-	g *graph.Graph // labels feed the per-lane constrained assignments
-	p [][]gf.Elem  // p[j]: flat n×stride, j = 1..kmax of the round's live set
+	g *graph.Graph // labels feed the constrained assignments
+	p [][]gf.Elem  // p[j]: flat n×N2, j = 1..K
 }
 
 func (f *motifFamily) Kind() string      { return "motif" }
@@ -150,135 +149,86 @@ func (f *motifFamily) EndRound(st *laneState, round int) {
 	}
 }
 
-func (f *motifFamily) groupK(e *groupRun) int {
-	k := 0
-	for _, st := range e.gr.live {
-		if st.k > k {
-			k = st.k
-		}
-	}
-	return k
-}
-
-func (f *motifFamily) Alloc(e *groupRun) {
-	n := e.g.NumVertices()
-	kmax := f.groupK(e)
-	f.p = make([][]gf.Elem, kmax+1)
-	for j := 1; j <= kmax; j++ {
-		f.p[j] = e.opt.Arena.Grab(n * e.gr.stride)
+func (f *motifFamily) Alloc(e *laneRun) {
+	size := e.g.NumVertices() * e.n2
+	f.p = make([][]gf.Elem, e.st.K+1)
+	for j := 1; j <= e.st.K; j++ {
+		f.p[j] = e.opt.Arena.Grab(size)
 	}
 }
 
-func (f *motifFamily) Free(e *groupRun) {
+func (f *motifFamily) Free(e *laneRun) {
 	e.opt.Arena.Put(f.p[1:]...)
 	f.p = nil
 }
 
-func (f *motifFamily) InitRow(e *groupRun) {
-	n := e.g.NumVertices()
-	stride := e.gr.stride
-	// level 1: P(i,1) = x_i; deeper levels start empty. k=1 lanes fold
+func (f *motifFamily) InitRow(e *laneRun) {
+	n, st, nb := e.g.NumVertices(), e.st, e.st.nb
+	// level 1: P(i,1) = x_i; deeper levels start empty. A k=1 lane folds
 	// immediately (a single constrained vertex is a valid motif).
 	for i := 0; i < n; i++ {
-		row := i * stride
-		for _, st := range e.live {
-			st.a.FillBase(f.p[1][row+st.off:row+st.off+st.nb], int32(i), e.q0, e.opt.NoGray)
-		}
+		st.a.FillBase(f.p[1][i*nb:(i+1)*nb], int32(i), e.q0, e.opt.NoGray)
 	}
-	spans := liveSpans(e.live)
 	for j := 2; j < len(f.p); j++ {
-		buf := f.p[j]
-		for i := 0; i < n; i++ {
-			row := i * stride
-			for _, sp := range spans {
-				seg := buf[row+sp.lo : row+sp.hi]
-				for q := range seg {
-					seg[q] = 0
-				}
-			}
-		}
+		clear(f.p[j][:n*nb])
 	}
-	for _, st := range e.live {
-		if st.k == 1 {
-			st.accumulate(f.p[1], stride, n)
-		}
+	if st.K == 1 {
+		st.accumulate(f.p[1][:n*nb])
 	}
 }
 
-func (f *motifFamily) Transfers(e *groupRun) int {
-	kPhase := 0
-	for _, st := range e.live {
-		if st.k > kPhase {
-			kPhase = st.k
-		}
-	}
-	return kPhase - 1
-}
+func (f *motifFamily) Transfers(e *laneRun) int { return e.st.K - 1 }
 
-func (f *motifFamily) Transfer(e *groupRun, step int) {
+func (f *motifFamily) Transfer(e *laneRun, step int) {
 	jj := step + 1
-	g, opt, stride := e.g, e.opt, e.gr.stride
-	var lvl []*laneState
-	var lvlWidth int64
-	for _, st := range e.live {
-		if st.k >= jj {
-			lvl = append(lvl, st)
-			lvlWidth += int64(st.nb)
-		}
-	}
+	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
 	opt.obsSpan(obs.LevelName, jj, "level")
-	opt.obsLevel(levelElems(g) * lvlWidth)
+	opt.obsLevel(levelElems(g) * int64(nb))
 	dst := f.p[jj]
 	one := CachedMulTable(1)
 	opt.parallelVertices(g, func(lo, hi int32) {
-		sum := make([]gf.Elem, e.n2) // per-worker neighbor sum
+		av := make([]gf.Elem, nb) // per-worker neighbor sum
 		var sk int64
 		for i := lo; i < hi; i++ {
 			nbrs := g.Neighbors(i)
-			for _, st := range lvl {
-				lane := int(i)*stride + st.off
-				av := sum[:st.nb]
-				for jp := 1; jp < jj; jp++ {
-					local := f.p[jp][lane : lane+st.nb]
-					if !gf.AnyNonZero(local) {
-						sk += int64(len(nbrs)) // one dead cell per neighbor
+			row := int(i) * nb
+			for jp := 1; jp < jj; jp++ {
+				local := f.p[jp][row : row+nb]
+				if !gf.AnyNonZero(local) {
+					sk += int64(len(nbrs)) // one dead cell per neighbor
+					continue
+				}
+				live := false
+				for _, u := range nbrs {
+					urow := int(u) * nb
+					piece := f.p[jj-jp][urow : urow+nb]
+					if !gf.AnyNonZero(piece) {
+						sk++
 						continue
 					}
-					live := false
-					for _, u := range nbrs {
-						ulane := int(u)*stride + st.off
-						piece := f.p[jj-jp][ulane : ulane+st.nb]
-						if !gf.AnyNonZero(piece) {
-							sk++
-							continue
-						}
-						t := one
-						if !opt.NoFingerprints {
-							t = st.a.MotifTable(u, i, jj, jp)
-						}
-						gf.MulSliceTable16(av, piece, t)
-						live = true
+					t := one
+					if !opt.NoFingerprints {
+						t = st.a.MotifTable(u, i, jj, jp)
 					}
-					if live {
-						// P(i,jj) += P(i,jp) ⊙ Σ_u r·P(u,jj−jp)
-						gf.MulHadamardAccum(dst[lane:lane+st.nb], local, av)
-						clear(av)
-					}
+					gf.MulSliceTable16(av, piece, t)
+					live = true
+				}
+				if live {
+					// P(i,jj) += P(i,jp) ⊙ Σ_u r·P(u,jj−jp)
+					gf.MulHadamardAccum(dst[row:row+nb], local, av)
+					clear(av)
 				}
 			}
 		}
 		e.addSkipped(sk)
 	})
 	opt.obsEnd()
-	n := g.NumVertices()
-	for _, st := range lvl {
-		if st.k == jj {
-			st.accumulate(dst, stride, n)
-		}
+	if st.K == jj {
+		st.accumulate(dst[:g.NumVertices()*nb])
 	}
 }
 
-func (f *motifFamily) Finalize(e *groupRun) {}
+func (f *motifFamily) Finalize(e *laneRun) {}
 
 // DetectMotif decides whether g contains a connected K-vertex subgraph
 // whose colors satisfy spec, with one-sided failure probability at
@@ -297,48 +247,10 @@ func DetectMotif(g *graph.Graph, spec *MotifSpec, opt Options) (bool, error) {
 	}
 	st := soloLane(k, opt)
 	st.Motif = spec
-	gr := &famGroup{fam: &motifFamily{g: g}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
+	if err := runLane(g, &motifFamily{g: g}, st, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
-}
-
-// DetectMotifBatch answers len(lanes) independent motif queries (each
-// lane's Motif field carries its spec; lane K is taken from the spec)
-// in one batched evaluation. Results match per-lane DetectMotif calls
-// byte-for-byte. Lanes with heterogeneous specs and sizes share one
-// group: the constraint is a per-lane zero pattern, not a layout.
-func DetectMotifBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResult, error) {
-	if len(lanes) == 0 {
-		return nil, nil
-	}
-	if len(lanes) > MaxBatchLanes {
-		return nil, fmt.Errorf("mld: batch of %d lanes exceeds MaxBatchLanes=%d", len(lanes), MaxBatchLanes)
-	}
-	res := make([]LaneResult, len(lanes))
-	if opt.Arena == nil {
-		opt.Arena = NewArena()
-	}
-	n := g.NumVertices()
-	sts, kmax, _ := batchStates(lanes, n, res, opt, func(l BatchLane) (int, error) {
-		if err := l.Motif.Validate(); err != nil {
-			return 0, err
-		}
-		return l.Motif.K, nil
-	})
-	n2 := PlanN2(opt.N2, n, kmax, len(sts), LevelSlabs(kmax))
-
-	gr := &famGroup{fam: &motifFamily{g: g}, sts: sts}
-	batchErr := runGroups(g, []*famGroup{gr}, n2, opt)
-	for _, st := range sts {
-		res[st.idx] = LaneResult{
-			Found: st.found, Rounds: st.roundsRun, Phases: st.phases,
-			TotalPhases: PlannedPhases(st.k, n2),
-			Err:         st.err,
-		}
-	}
-	return res, batchErr
 }
 
 // motifRound evaluates the constrained-motif polynomial over all 2^K
@@ -348,9 +260,9 @@ func motifRound(g *graph.Graph, spec *MotifSpec, a *Assignment, opt Options) (gf
 	if opt.Arena == nil {
 		opt.Arena = NewArena()
 	}
-	st := &laneState{BatchLane: BatchLane{K: a.K, Motif: spec}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	gr := &famGroup{fam: &motifFamily{g: g}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
+	st := assignedLane(a)
+	st.Motif = spec
+	if err := sweep(g, &motifFamily{g: g}, st, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -113,70 +113,8 @@ func TestMotifSpecValidate(t *testing.T) {
 	}
 }
 
-// TestDetectMotifBatchMatchesSequential: heterogeneous motif lanes
-// (different k, constraints, seeds) batched together answer exactly as
-// their solo runs.
-func TestDetectMotifBatchMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	g, nc := randomLabeled(r, 99)
-	for g.NumEdges() < 6 { // want a non-trivial instance
-		g, nc = randomLabeled(r, 99+r.Intn(1000))
-	}
-	var lanes []BatchLane
-	for i := 0; i < 7; i++ {
-		spec := randomSpec(r, g.NumVertices(), nc)
-		lanes = append(lanes, BatchLane{Motif: spec, Seed: uint64(100 + i), Rounds: 2})
-	}
-	res, err := DetectMotifBatch(g, lanes, Options{N2: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range lanes {
-		want, err := DetectMotif(g, l.Motif, Options{Seed: l.Seed, Rounds: l.Rounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[i].Err != nil {
-			t.Fatalf("lane %d: %v", i, res[i].Err)
-		}
-		if res[i].Found != want {
-			t.Fatalf("lane %d (k=%d counts=%v): batch=%v solo=%v",
-				i, l.Motif.K, l.Motif.Counts, res[i].Found, want)
-		}
-	}
-}
-
-// TestDetectMotifBatchLaneErrors: invalid lanes fail alone; a k > n
-// lane resolves to not-found without poisoning its batch-mates.
-func TestDetectMotifBatchLaneErrors(t *testing.T) {
-	g := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
-	g.SetLabels([]int32{0, 0, 1, 1})
-	lanes := []BatchLane{
-		{Motif: &MotifSpec{K: 3}, Seed: 1, Rounds: 2},                                    // fine
-		{Motif: &MotifSpec{K: 2, Counts: map[int32]int{0: 5}}, Seed: 2},                  // invalid
-		{Motif: &MotifSpec{K: 9}, Seed: 3},                                               // k > n
-		{Motif: &MotifSpec{K: 2, Counts: map[int32]int{0: 1, 1: 1}}, Seed: 4, Rounds: 2}, // fine
-	}
-	res, err := DetectMotifBatch(g, lanes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || !res[0].Found {
-		t.Fatalf("lane 0: %+v, want found", res[0])
-	}
-	if res[1].Err == nil {
-		t.Fatal("invalid lane 1 carried no error")
-	}
-	if res[2].Err != nil || res[2].Found {
-		t.Fatalf("k>n lane 2: %+v, want quiet not-found", res[2])
-	}
-	if res[3].Err != nil || !res[3].Found {
-		t.Fatalf("lane 3: %+v, want found (edge 1–2 is 0,1-colored)", res[3])
-	}
-}
-
 // TestDetectMotifCancel: an expired context aborts the sweep with its
-// error, both solo and as a batch lane (where batch-mates survive).
+// error.
 func TestDetectMotifCancel(t *testing.T) {
 	g := graph.RandomGNM(80, 320, 11)
 	g.SetLabels(make([]int32, 80)) // all color 0
@@ -184,22 +122,7 @@ func TestDetectMotifCancel(t *testing.T) {
 	cancel()
 	spec := &MotifSpec{K: 14, Counts: map[int32]int{0: 14}}
 	if _, err := DetectMotif(g, spec, Options{Rounds: 1, Ctx: ctx}); err != context.Canceled {
-		t.Fatalf("solo cancel: err=%v, want context.Canceled", err)
-	}
-	lanes := []BatchLane{
-		{Motif: spec, Seed: 1, Rounds: 1, Ctx: ctx},
-		{Motif: &MotifSpec{K: 4}, Seed: 2, Rounds: 1},
-	}
-	res, err := DetectMotifBatch(g, lanes, Options{N2: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != context.Canceled {
-		t.Fatalf("cancelled lane: err=%v, want context.Canceled", res[0].Err)
-	}
-	want, _ := DetectMotif(g, lanes[1].Motif, Options{Seed: 2, Rounds: 1})
-	if res[1].Err != nil || res[1].Found != want {
-		t.Fatalf("surviving lane: %+v, solo %v", res[1], want)
+		t.Fatalf("cancel: err=%v, want context.Canceled", err)
 	}
 }
 

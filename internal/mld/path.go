@@ -8,9 +8,8 @@ import (
 
 // pathFamily is the k-path polynomial as a sweep-engine Family: the
 // init row is P(i,1) = x_i, transfer step j−1 is the path recurrence
-// P(i,j) = x_i · Σ_u r·P(u,j−1) over two ping-pong slabs, and a lane
-// folds its totals at its own final level (heterogeneous-k groups run
-// to the deepest live k).
+// P(i,j) = x_i · Σ_u r·P(u,j−1) over two ping-pong slabs, and the lane
+// folds its totals at level k.
 type pathFamily struct {
 	base, prev, cur []gf.Elem
 }
@@ -19,7 +18,7 @@ func (f *pathFamily) Kind() string      { return "path" }
 func (f *pathFamily) CountPhases() bool { return true }
 
 func (f *pathFamily) NewAssignment(n int, st *laneState, round int) *Assignment {
-	return NewPathAssignment(n, st.k, st.Seed, round)
+	return NewPathAssignment(n, st.K, st.Seed, round)
 }
 
 func (f *pathFamily) BeginRound(st *laneState) { st.total = 0 }
@@ -32,103 +31,63 @@ func (f *pathFamily) EndRound(st *laneState, round int) {
 	}
 }
 
-func (f *pathFamily) Alloc(e *groupRun) {
-	n := e.g.NumVertices()
-	f.base = e.opt.Arena.Grab(n * e.gr.stride)
-	f.prev = e.opt.Arena.Grab(n * e.gr.stride)
-	f.cur = e.opt.Arena.Grab(n * e.gr.stride)
+func (f *pathFamily) Alloc(e *laneRun) {
+	size := e.g.NumVertices() * e.n2
+	f.base = e.opt.Arena.Grab(size)
+	f.prev = e.opt.Arena.Grab(size)
+	f.cur = e.opt.Arena.Grab(size)
 }
 
-func (f *pathFamily) Free(e *groupRun) {
+func (f *pathFamily) Free(e *laneRun) {
 	e.opt.Arena.Put(f.base, f.prev, f.cur)
 	f.base, f.prev, f.cur = nil, nil, nil
 }
 
-func (f *pathFamily) InitRow(e *groupRun) {
-	n := e.g.NumVertices()
-	stride := e.gr.stride
+func (f *pathFamily) InitRow(e *laneRun) {
+	n, st, nb := e.g.NumVertices(), e.st, e.st.nb
 	for i := 0; i < n; i++ {
-		row := i * stride
-		for _, st := range e.live {
-			st.a.FillBase(f.base[row+st.off:row+st.off+st.nb], int32(i), e.q0, e.opt.NoGray)
-		}
+		st.a.FillBase(f.base[i*nb:(i+1)*nb], int32(i), e.q0, e.opt.NoGray)
 	}
-	// level 1: P(i,1) = x_i, copied span-fused; k=1 lanes are done.
-	spans := liveSpans(e.live)
-	for i := 0; i < n; i++ {
-		row := i * stride
-		for _, sp := range spans {
-			copy(f.prev[row+sp.lo:row+sp.hi], f.base[row+sp.lo:row+sp.hi])
-		}
-	}
-	for _, st := range e.live {
-		if st.k == 1 {
-			st.accumulate(f.prev, stride, n)
-		}
+	// level 1: P(i,1) = x_i; a k=1 lane is done.
+	copy(f.prev[:n*nb], f.base[:n*nb])
+	if st.K == 1 {
+		st.accumulate(f.prev[:n*nb])
 	}
 }
 
-func (f *pathFamily) Transfers(e *groupRun) int {
-	kPhase := 0
-	for _, st := range e.live {
-		if st.k > kPhase {
-			kPhase = st.k
-		}
-	}
-	return kPhase - 1
-}
+func (f *pathFamily) Transfers(e *laneRun) int { return e.st.K - 1 }
 
-func (f *pathFamily) Transfer(e *groupRun, step int) {
+func (f *pathFamily) Transfer(e *laneRun, step int) {
 	j := step + 1
-	g, opt, stride := e.g, e.opt, e.gr.stride
-	var lvl []*laneState
-	var lvlWidth int64
-	for _, st := range e.live {
-		if st.k >= j {
-			lvl = append(lvl, st)
-			lvlWidth += int64(st.nb)
-		}
-	}
-	spans := liveSpans(lvl)
+	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
 	one := CachedMulTable(1)
 	opt.obsSpan(obs.LevelName, j, "level")
-	opt.obsLevel(levelElems(g) * lvlWidth)
+	opt.obsLevel(levelElems(g) * int64(nb))
 	opt.parallelVertices(g, func(lo, hi int32) {
 		for i := lo; i < hi; i++ {
-			row := int(i) * stride
-			for _, sp := range spans {
-				dst := f.cur[row+sp.lo : row+sp.hi]
-				for q := range dst {
-					dst[q] = 0
-				}
-			}
+			row := int(i) * nb
+			dst := f.cur[row : row+nb]
+			clear(dst)
 			for _, u := range g.Neighbors(i) {
-				urow := int(u) * stride
-				for _, st := range lvl {
-					t := one
-					if !opt.NoFingerprints {
-						t = st.a.EdgeTable(u, i, j)
-					}
-					gf.MulSliceTable16(f.cur[row+st.off:row+st.off+st.nb], f.prev[urow+st.off:urow+st.off+st.nb], t)
+				t := one
+				if !opt.NoFingerprints {
+					t = st.a.EdgeTable(u, i, j)
 				}
+				urow := int(u) * nb
+				gf.MulSliceTable16(dst, f.prev[urow:urow+nb], t)
 			}
 			// P(i,j) = x_i · Σ_u r·P(u,j-1)
-			for _, sp := range spans {
-				gf.HadamardInto(f.cur[row+sp.lo:row+sp.hi], f.cur[row+sp.lo:row+sp.hi], f.base[row+sp.lo:row+sp.hi])
-			}
+			gf.HadamardInto(dst, dst, f.base[row:row+nb])
 		}
 	})
 	opt.obsEnd()
 	f.prev, f.cur = f.cur, f.prev
-	n := g.NumVertices()
-	for _, st := range lvl {
-		if st.k == j {
-			st.accumulate(f.prev, stride, n)
-		}
+	if st.K == j {
+		st.accumulate(f.prev[:g.NumVertices()*nb])
 	}
 }
 
-func (f *pathFamily) Finalize(e *groupRun) {}
+func (f *pathFamily) Finalize(e *laneRun) {}
 
 // DetectPath decides whether g contains a simple path on k vertices,
 // with failure probability at most opt.Epsilon (one-sided: a "no" answer
@@ -146,8 +105,8 @@ func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
 	}
 	if opt.Variant == VariantKoutis || opt.Variant == VariantGF8 {
 		// The integer and GF(2^8) variants keep their own round
-		// kernels (no lane-contiguous tables); only the round loop is
-		// shared with the engine's accounting.
+		// kernels; only the round loop is shared with the engine's
+		// accounting.
 		rounds := opt.RoundsFor(k)
 		for round := 0; round < rounds; round++ {
 			if err := opt.ctxErr(); err != nil {
@@ -170,8 +129,7 @@ func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
 		return false, nil
 	}
 	st := soloLane(k, opt)
-	gr := &famGroup{fam: &pathFamily{}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), k, 1, PathSlabs), opt); err != nil {
+	if err := runLane(g, &pathFamily{}, st, PlanN2(opt.N2, g.NumVertices(), k, 1, PathSlabs), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -185,9 +143,8 @@ func pathRound(g *graph.Graph, a *Assignment, opt Options) (gf.Elem, error) {
 	if opt.Arena == nil {
 		opt.Arena = NewArena()
 	}
-	st := &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	gr := &famGroup{fam: &pathFamily{}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), a.K, 1, PathSlabs), opt); err != nil {
+	st := assignedLane(a)
+	if err := sweep(g, &pathFamily{}, st, PlanN2(opt.N2, g.NumVertices(), a.K, 1, PathSlabs), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -1,7 +1,6 @@
 package mld
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -71,30 +70,24 @@ func TestPlanN2(t *testing.T) {
 	}
 }
 
-// sweepTotals runs one engine sweep of the given lanes (assignments
-// preset) at width n2 and returns each lane's totals: the scan strata
-// for scan lanes, the single field total otherwise.
-func sweepTotals(t *testing.T, g *graph.Graph, fam Family, sts []*laneState, n2 int) [][]gf.Elem {
+// sweepTotals runs one engine sweep of the lane (assignment preset) at
+// width n2 and returns its totals: the scan strata for a scan lane, the
+// single field total otherwise.
+func sweepTotals(t *testing.T, g *graph.Graph, fam Family, st *laneState, n2 int) []gf.Elem {
 	t.Helper()
-	gr := &famGroup{fam: fam, sts: sts, live: sts}
-	if err := sweepGroups(g, []*famGroup{gr}, n2, Options{Arena: NewArena()}); err != nil {
+	if err := sweep(g, fam, st, n2, Options{Arena: NewArena()}); err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]gf.Elem, len(sts))
-	for i, st := range sts {
-		if st.scan != nil {
-			out[i] = append([]gf.Elem(nil), st.scan.totals...)
-		} else {
-			out[i] = []gf.Elem{st.total}
-		}
+	if st.scan != nil {
+		return append([]gf.Elem(nil), st.scan.totals...)
 	}
-	return out
+	return []gf.Elem{st.total}
 }
 
 // TestTotalsIndependentOfPhaseWidth pins the planner's license: the
 // per-round field totals — not just the yes/no they imply — are
 // byte-identical at N2 = 8, 128, the planned width and 2^k, for every
-// family, solo and as a three-lane batch.
+// family.
 func TestTotalsIndependentOfPhaseWidth(t *testing.T) {
 	labeled := func(n, m int, seed uint64) *graph.Graph {
 		g := graph.RandomGNM(n, m, seed)
@@ -115,74 +108,62 @@ func TestTotalsIndependentOfPhaseWidth(t *testing.T) {
 	spec := &MotifSpec{K: 6, Counts: map[int32]int{0: 2, 1: 1}}
 	const scanJ, scanZ = 6, 3
 
-	lane := func(a *Assignment) *laneState {
-		return &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	}
-	pathLane := func(g *graph.Graph, seed uint64) *laneState {
-		return lane(NewPathAssignment(g.NumVertices(), 9, seed, 0))
-	}
 	for _, f := range []struct {
 		name  string
 		g     *graph.Graph
-		lanes int
 		slabs int
 		fam   func(g *graph.Graph) Family
 		lane  func(g *graph.Graph, seed uint64) *laneState
 	}{
-		{"tree/planned-256", gWide, 1, LevelSlabs(9), func(*graph.Graph) Family { return &treeFamily{d: tplWide.Decompose()} },
+		{"tree/planned-256", gWide, LevelSlabs(9), func(*graph.Graph) Family { return &treeFamily{d: tplWide.Decompose()} },
 			func(g *graph.Graph, seed uint64) *laneState {
-				return lane(NewTreeAssignment(g.NumVertices(), 9, seed, 0))
+				return assignedLane(NewTreeAssignment(g.NumVertices(), 9, seed, 0))
 			}},
-		{"path", gSmall, 3, PathSlabs, func(*graph.Graph) Family { return &pathFamily{} }, pathLane},
-		{"tree", gSmall, 3, LevelSlabs(7), func(*graph.Graph) Family { return &treeFamily{d: tpl.Decompose()} },
+		{"path", gSmall, PathSlabs, func(*graph.Graph) Family { return &pathFamily{} },
 			func(g *graph.Graph, seed uint64) *laneState {
-				return lane(NewTreeAssignment(g.NumVertices(), 7, seed, 0))
+				return assignedLane(NewPathAssignment(g.NumVertices(), 9, seed, 0))
 			}},
-		{"motif", gSmall, 3, LevelSlabs(6), func(g *graph.Graph) Family { return &motifFamily{g: g} },
+		{"tree", gSmall, LevelSlabs(7), func(*graph.Graph) Family { return &treeFamily{d: tpl.Decompose()} },
 			func(g *graph.Graph, seed uint64) *laneState {
-				st := lane(NewMotifAssignment(g, spec, seed, 0))
+				return assignedLane(NewTreeAssignment(g.NumVertices(), 7, seed, 0))
+			}},
+		{"motif", gSmall, LevelSlabs(6), func(g *graph.Graph) Family { return &motifFamily{g: g} },
+			func(g *graph.Graph, seed uint64) *laneState {
+				st := assignedLane(NewMotifAssignment(g, spec, seed, 0))
 				st.Motif = spec
 				return st
 			}},
-		{"scanstat", gSmall, 3, WeightSlabs(scanJ, scanZ), func(g *graph.Graph) Family { return &scanFamily{j: scanJ, maxw: scanMaxWeight(g)} },
+		{"scanstat", gSmall, WeightSlabs(scanJ, scanZ), func(g *graph.Graph) Family { return &scanFamily{j: scanJ, maxw: scanMaxWeight(g)} },
 			func(g *graph.Graph, seed uint64) *laneState {
-				st := lane(NewScanAssignment(g.NumVertices(), scanJ, seed, 0))
+				st := assignedLane(NewScanAssignment(g.NumVertices(), scanJ, seed, 0))
 				st.ZMax = scanZ
 				st.scan = &scanExt{nz: scanZ + 1}
 				return st
 			}},
 	} {
-		for lanes := 1; lanes <= f.lanes; lanes += 2 {
-			t.Run(fmt.Sprintf("%s/lanes=%d", f.name, lanes), func(t *testing.T) {
-				n, k := f.g.NumVertices(), f.lane(f.g, 0).k
-				planned := PlanN2(0, n, k, lanes, f.slabs)
-				if f.g == gWide && planned != 256 {
-					t.Fatalf("wide instance plans %d, want 256 (distinct from 8, 128 and 2^k)", planned)
-				}
-				var want [][]gf.Elem
-				for _, n2 := range []int{8, 128, planned, 1 << uint(k)} {
-					sts := make([]*laneState, lanes)
-					for i := range sts {
-						sts[i] = f.lane(f.g, uint64(40+i))
+		t.Run(f.name+"/lanes=1", func(t *testing.T) {
+			n, k := f.g.NumVertices(), f.lane(f.g, 0).K
+			planned := PlanN2(0, n, k, 1, f.slabs)
+			if f.g == gWide && planned != 256 {
+				t.Fatalf("wide instance plans %d, want 256 (distinct from 8, 128 and 2^k)", planned)
+			}
+			var want []gf.Elem
+			for _, n2 := range []int{8, 128, planned, 1 << uint(k)} {
+				got := sweepTotals(t, f.g, f.fam(f.g), f.lane(f.g, 40), PlanN2(n2, n, k, 1, f.slabs))
+				if want == nil {
+					want = got
+					nonzero := false
+					for _, v := range got {
+						nonzero = nonzero || v != 0
 					}
-					got := sweepTotals(t, f.g, f.fam(f.g), sts, PlanN2(n2, n, k, lanes, f.slabs))
-					if want == nil {
-						want = got
-						nonzero := false
-						for _, row := range got {
-							for _, v := range row {
-								nonzero = nonzero || v != 0
-							}
-						}
-						if !nonzero {
-							t.Fatalf("all totals zero at N2=%d: the instance pins nothing", n2)
-						}
-					} else if !reflect.DeepEqual(got, want) {
-						t.Fatalf("N2=%d totals %v differ from N2=8 totals %v", n2, got, want)
+					if !nonzero {
+						t.Fatalf("all totals zero at N2=%d: the instance pins nothing", n2)
 					}
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("N2=%d totals %v differ from N2=8 totals %v", n2, got, want)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -227,11 +208,11 @@ func BenchmarkPathSweepN2(b *testing.B) {
 
 // BenchmarkBurstLanes answers one burst of the wall-clock benchmark's
 // burst-batch workload (12 path queries, k ∈ {7, 8, 9}, one round, on
-// G(n, m) with n = 1000, m = n·ln n) three ways on two cores: as one
-// strided 12-lane DetectPathBatch sweep, as 12 solo DetectPath calls
-// back to back with Workers: 2, and as serve's ranks = 1 batch schedule
-// — two goroutines pulling the lanes in order, each lane a solo sweep
-// with Workers: 1 (docs/BATCHING.md §8). Run via `make bench`.
+// G(n, m) with n = 1000, m = n·ln n) two ways on two cores: as 12 solo
+// DetectPath calls back to back with Workers: 2, and as serve's
+// ranks = 1 batch schedule — two goroutines pulling the lanes in order,
+// each lane a solo sweep with Workers: 1 (docs/BATCHING.md §8). Run via
+// `make bench`.
 func BenchmarkBurstLanes(b *testing.B) {
 	const n, cores = 1000, 2
 	g := graph.RandomNLogN(n, 1)
@@ -246,13 +227,6 @@ func BenchmarkBurstLanes(b *testing.B) {
 			b.Error(err)
 		}
 	}
-	b.Run("strided", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := DetectPathBatch(g, lanes, Options{Workers: cores, Arena: arena}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("solo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, l := range lanes {

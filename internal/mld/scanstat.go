@@ -9,17 +9,10 @@ import (
 )
 
 // scanExt is the scan-family extension of a lane: the feasibility
-// table under construction plus the per-sweep DP strata. The weight
-// axis is lane-private (ZMax differs per lane), so scan batching
-// shares the iteration sweep and the vertex fan-out but keeps
-// per-lane weight buffers rather than a lane-contiguous layout.
+// table under construction and the current round's per-weight totals.
 type scanExt struct {
-	feas [][]bool
-	nz   int
-
-	// per-(size, round) sweep state
-	p      [][][]gf.Elem // p[jj][z]: flat n×n2, one stratum per (level, weight)
-	base   []gf.Elem
+	feas   [][]bool
+	nz     int
 	totals []gf.Elem
 }
 
@@ -31,6 +24,9 @@ type scanExt struct {
 type scanFamily struct {
 	j    int   // subgraph size of this engine pass
 	maxw int64 // max vertex weight: caps the per-stratum z loops
+
+	p    [][][]gf.Elem // p[jj][z]: flat n×N2, one stratum per (level, weight)
+	base []gf.Elem
 }
 
 // scanMaxWeight is the largest vertex weight: a subgraph on s vertices
@@ -66,113 +62,93 @@ func (f *scanFamily) EndRound(st *laneState, round int) {
 	}
 }
 
-func (f *scanFamily) Alloc(e *groupRun) {
-	n := e.g.NumVertices()
-	for _, st := range e.gr.live {
-		sc := st.scan
-		sc.p = make([][][]gf.Elem, f.j+1)
-		for jj := 1; jj <= f.j; jj++ {
-			sc.p[jj] = make([][]gf.Elem, sc.nz)
-			for z := 0; z < sc.nz; z++ {
-				sc.p[jj][z] = e.opt.Arena.Grab(n * e.n2)
-			}
+func (f *scanFamily) Alloc(e *laneRun) {
+	size := e.g.NumVertices() * e.n2
+	nz := e.st.scan.nz
+	f.p = make([][][]gf.Elem, f.j+1)
+	for jj := 1; jj <= f.j; jj++ {
+		f.p[jj] = make([][]gf.Elem, nz)
+		for z := 0; z < nz; z++ {
+			f.p[jj][z] = e.opt.Arena.Grab(size)
 		}
-		sc.base = e.opt.Arena.Grab(n * e.n2)
-		sc.totals = make([]gf.Elem, sc.nz)
 	}
+	f.base = e.opt.Arena.Grab(size)
+	e.st.scan.totals = make([]gf.Elem, nz)
 }
 
-func (f *scanFamily) Free(e *groupRun) {
-	for _, st := range e.gr.live {
-		sc := st.scan
-		if sc.base == nil {
+func (f *scanFamily) Free(e *laneRun) {
+	e.opt.Arena.Put(f.base)
+	for jj := 1; jj <= f.j; jj++ {
+		e.opt.Arena.Put(f.p[jj]...)
+	}
+	f.base, f.p = nil, nil
+}
+
+func (f *scanFamily) InitRow(e *laneRun) {
+	g, st, nb := e.g, e.st, e.st.nb
+	n := g.NumVertices()
+	for i := 0; i < n; i++ {
+		st.a.FillBase(f.base[i*nb:(i+1)*nb], int32(i), e.q0, e.opt.NoGray)
+	}
+	for jj := 1; jj <= f.j; jj++ {
+		for _, buf := range f.p[jj] {
+			clear(buf[:n*nb])
+		}
+	}
+	// base case: P(i,1,w(i)) = x_i
+	for i := 0; i < n; i++ {
+		w := g.Weight(int32(i))
+		if w > st.ZMax {
 			continue
 		}
-		e.opt.Arena.Put(sc.base)
-		for jj := 1; jj <= f.j; jj++ {
-			e.opt.Arena.Put(sc.p[jj]...)
-		}
-		sc.base, sc.p = nil, nil
+		copy(f.p[1][w][i*nb:(i+1)*nb], f.base[i*nb:(i+1)*nb])
 	}
 }
 
-func (f *scanFamily) InitRow(e *groupRun) {
-	g, n2 := e.g, e.n2
-	n := g.NumVertices()
-	for _, st := range e.live {
-		sc := st.scan
-		nb := st.nb
-		for i := 0; i < n; i++ {
-			st.a.FillBase(sc.base[i*n2:i*n2+nb], int32(i), e.q0, e.opt.NoGray)
-		}
-		for jj := 1; jj <= f.j; jj++ {
-			for z := 0; z < sc.nz; z++ {
-				buf := sc.p[jj][z]
-				for i := range buf {
-					buf[i] = 0
-				}
-			}
-		}
-		// base case: P(i,1,w(i)) = x_i
-		for i := 0; i < n; i++ {
-			w := g.Weight(int32(i))
-			if w > st.ZMax {
-				continue
-			}
-			copy(sc.p[1][w][i*n2:i*n2+nb], sc.base[i*n2:i*n2+nb])
-		}
-	}
-}
-
-func (f *scanFamily) Transfers(e *groupRun) int { return f.j - 1 }
+func (f *scanFamily) Transfers(e *laneRun) int { return f.j - 1 }
 
 // Transfer runs one level of the inductive case — P(i,jj,z) =
-// Σ_u Σ_{j'} Σ_{z'} r·P(i,j',z')·P(u,jj-j',z-z') — for every live
-// lane's private weight strata, one vertex fan-out serving all lanes.
-// Level jj reads only levels < jj, and each vertex writes only its own
-// rows, so the vertex loop parallelizes per level.
-func (f *scanFamily) Transfer(e *groupRun, step int) {
+// Σ_u Σ_{j'} Σ_{z'} r·P(i,j',z')·P(u,jj-j',z-z') — over the lane's
+// weight strata. Level jj reads only levels < jj, and each vertex
+// writes only its own rows, so the vertex loop parallelizes per level.
+func (f *scanFamily) Transfer(e *laneRun, step int) {
 	jj := step + 1
-	g, opt, n2 := e.g, e.opt, e.n2
-	live := e.live
+	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
+	nz := st.scan.nz
+	zcap := func(s int) int {
+		c := int64(s) * f.maxw
+		if c > st.ZMax {
+			c = st.ZMax
+		}
+		return int(c)
+	}
 	opt.obsSpan(obs.LevelName, jj, "level")
-	opt.Obs.Add(obs.Levels, int64(len(live)))
+	opt.Obs.Add(obs.Levels, 1)
 	opt.parallelVertices(g, func(lo, hi int32) {
 		var sk int64
-		for _, st := range live {
-			sc := st.scan
-			nb := st.nb
-			zcap := func(s int) int {
-				c := int64(s) * f.maxw
-				if c > st.ZMax {
-					c = st.ZMax
-				}
-				return int(c)
-			}
-			for i := lo; i < hi; i++ {
-				iLo, iHi := int(i)*n2, int(i)*n2+nb
-				for _, u := range g.Neighbors(i) {
-					uLo, uHi := int(u)*n2, int(u)*n2+nb
-					for jp := 1; jp < jj; jp++ {
-						jr := jj - jp
-						for zp := 0; zp <= zcap(jp); zp++ {
-							src1 := sc.p[jp][zp][iLo:iHi]
-							if !gf.AnyNonZero(src1) {
+		for i := lo; i < hi; i++ {
+			iLo, iHi := int(i)*nb, int(i)*nb+nb
+			for _, u := range g.Neighbors(i) {
+				uLo, uHi := int(u)*nb, int(u)*nb+nb
+				for jp := 1; jp < jj; jp++ {
+					jr := jj - jp
+					for zp := 0; zp <= zcap(jp); zp++ {
+						src1 := f.p[jp][zp][iLo:iHi]
+						if !gf.AnyNonZero(src1) {
+							sk++
+							continue
+						}
+						var r gf.Elem = 1
+						if !opt.NoFingerprints {
+							r = st.a.ScanCoeff(u, i, jj, jp, int64(zp))
+						}
+						for zr := 0; zr <= zcap(jr) && zp+zr < nz; zr++ {
+							src2 := f.p[jr][zr][uLo:uHi]
+							if !gf.AnyNonZero(src2) {
 								sk++
 								continue
 							}
-							var r gf.Elem = 1
-							if !opt.NoFingerprints {
-								r = st.a.ScanCoeff(u, i, jj, jp, int64(zp))
-							}
-							for zr := 0; zr <= zcap(jr) && zp+zr < sc.nz; zr++ {
-								src2 := sc.p[jr][zr][uLo:uHi]
-								if !gf.AnyNonZero(src2) {
-									sk++
-									continue
-								}
-								gf.MulHadamardAccumScaled(sc.p[jj][zp+zr][iLo:iHi], src1, src2, r)
-							}
+							gf.MulHadamardAccumScaled(f.p[jj][zp+zr][iLo:iHi], src1, src2, r)
 						}
 					}
 				}
@@ -183,17 +159,11 @@ func (f *scanFamily) Transfer(e *groupRun, step int) {
 	opt.obsEnd()
 }
 
-func (f *scanFamily) Finalize(e *groupRun) {
-	n, n2 := e.g.NumVertices(), e.n2
-	for _, st := range e.live {
-		sc := st.scan
-		for z := 0; z < sc.nz; z++ {
-			buf := sc.p[f.j][z]
-			for i := 0; i < n; i++ {
-				for q := 0; q < st.nb; q++ {
-					sc.totals[z] ^= buf[i*n2+q]
-				}
-			}
+func (f *scanFamily) Finalize(e *laneRun) {
+	sc, size := e.st.scan, e.g.NumVertices()*e.st.nb
+	for z := 0; z < sc.nz; z++ {
+		for _, v := range f.p[f.j][z][:size] {
+			sc.totals[z] ^= v
 		}
 	}
 }
@@ -240,9 +210,8 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error)
 		// passes.
 		st.iters = uint64(1) << uint(j)
 		st.roundsTotal = opt.RoundsFor(j)
-		gr := &famGroup{fam: &scanFamily{j: j, maxw: maxw}, sts: []*laneState{st}}
 		n2 := PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax))
-		if err := runGroups(g, []*famGroup{gr}, n2, opt); err != nil {
+		if err := runLane(g, &scanFamily{j: j, maxw: maxw}, st, n2, opt); err != nil {
 			return nil, err
 		}
 	}
@@ -289,10 +258,10 @@ func scanRound(g *graph.Graph, j int, zmax int64, a *Assignment, opt Options) ([
 	if opt.Arena == nil {
 		opt.Arena = NewArena()
 	}
-	st := &laneState{BatchLane: BatchLane{K: j, ZMax: zmax}, k: j, iters: uint64(1) << uint(j), a: a}
+	st := assignedLane(a)
+	st.ZMax = zmax
 	st.scan = &scanExt{nz: int(zmax) + 1}
-	gr := &famGroup{fam: &scanFamily{j: j, maxw: scanMaxWeight(g)}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax)), opt); err != nil {
+	if err := sweep(g, &scanFamily{j: j, maxw: scanMaxWeight(g)}, st, PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax)), opt); err != nil {
 		return nil, err
 	}
 	return st.scan.totals, nil

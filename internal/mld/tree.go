@@ -8,10 +8,8 @@ import (
 
 // treeFamily is the k-tree template polynomial as a sweep-engine
 // Family: one transfer step per decomposition node (leaves bind the
-// base row, internal nodes combine their children over the group's
-// halo of neighbor values), and every lane folds the root slab in
-// Finalize. All lanes of a group share one template shape — grouping
-// by templateDigest is the batch entry point's job.
+// base row, internal nodes combine their children over the vertex's
+// neighbor values), and the lane folds the root slab in Finalize.
 type treeFamily struct {
 	d    *graph.Decomposition
 	base []gf.Elem
@@ -22,7 +20,7 @@ func (f *treeFamily) Kind() string      { return "tree" }
 func (f *treeFamily) CountPhases() bool { return true }
 
 func (f *treeFamily) NewAssignment(n int, st *laneState, round int) *Assignment {
-	return NewTreeAssignment(n, st.k, st.Seed, round)
+	return NewTreeAssignment(n, st.K, st.Seed, round)
 }
 
 func (f *treeFamily) BeginRound(st *laneState) { st.total = 0 }
@@ -35,19 +33,19 @@ func (f *treeFamily) EndRound(st *laneState, round int) {
 	}
 }
 
-func (f *treeFamily) Alloc(e *groupRun) {
-	n := e.g.NumVertices()
-	f.base = e.opt.Arena.Grab(n * e.gr.stride)
+func (f *treeFamily) Alloc(e *laneRun) {
+	size := e.g.NumVertices() * e.n2
+	f.base = e.opt.Arena.Grab(size)
 	// one value buffer per internal decomposition node; leaves share base.
 	f.vals = make([][]gf.Elem, len(f.d.Nodes))
 	for j, nd := range f.d.Nodes {
 		if nd.Left >= 0 {
-			f.vals[j] = e.opt.Arena.Grab(n * e.gr.stride)
+			f.vals[j] = e.opt.Arena.Grab(size)
 		}
 	}
 }
 
-func (f *treeFamily) Free(e *groupRun) {
+func (f *treeFamily) Free(e *laneRun) {
 	e.opt.Arena.Put(f.base)
 	for j, nd := range f.d.Nodes {
 		if nd.Left >= 0 {
@@ -57,71 +55,51 @@ func (f *treeFamily) Free(e *groupRun) {
 	f.base, f.vals = nil, nil
 }
 
-func (f *treeFamily) InitRow(e *groupRun) {
-	n := e.g.NumVertices()
-	stride := e.gr.stride
+func (f *treeFamily) InitRow(e *laneRun) {
+	n, st, nb := e.g.NumVertices(), e.st, e.st.nb
 	for i := 0; i < n; i++ {
-		row := i * stride
-		for _, st := range e.live {
-			st.a.FillBase(f.base[row+st.off:row+st.off+st.nb], int32(i), e.q0, e.opt.NoGray)
-		}
+		st.a.FillBase(f.base[i*nb:(i+1)*nb], int32(i), e.q0, e.opt.NoGray)
 	}
 }
 
-func (f *treeFamily) Transfers(e *groupRun) int { return len(f.d.Nodes) }
+func (f *treeFamily) Transfers(e *laneRun) int { return len(f.d.Nodes) }
 
-func (f *treeFamily) Transfer(e *groupRun, step int) {
+func (f *treeFamily) Transfer(e *laneRun, step int) {
 	j := step - 1
 	nd := f.d.Nodes[j]
 	if nd.Left < 0 {
 		f.vals[j] = f.base
 		return
 	}
-	g, opt, stride := e.g, e.opt, e.gr.stride
-	live := e.live
-	spans := liveSpans(live)
+	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
 	one := CachedMulTable(1)
 	opt.obsSpan(obs.LevelName, j, "level")
-	opt.obsLevel(levelElems(g) * e.liveWidth())
-	left, right := f.vals[nd.Left], f.vals[nd.Right]
-	dstAll := f.vals[j]
+	opt.obsLevel(levelElems(g) * int64(nb))
+	left, right, dst := f.vals[nd.Left], f.vals[nd.Right], f.vals[j]
 	opt.parallelVertices(g, func(lo, hi int32) {
-		av := make([]gf.Elem, stride) // per-worker scratch, all lanes
+		av := make([]gf.Elem, nb) // per-worker neighbor sum
 		for i := lo; i < hi; i++ {
-			row := int(i) * stride
-			for _, sp := range spans {
-				seg := av[sp.lo:sp.hi]
-				for q := range seg {
-					seg[q] = 0
-				}
-			}
+			clear(av)
 			for _, u := range g.Neighbors(i) {
-				urow := int(u) * stride
-				for _, st := range live {
-					t := one
-					if !opt.NoFingerprints {
-						// level key: the decomposition node index,
-						// unique per subtree shape.
-						t = st.a.EdgeTable(u, i, j)
-					}
-					gf.MulSliceTable16(av[st.off:st.off+st.nb], right[urow+st.off:urow+st.off+st.nb], t)
+				t := one
+				if !opt.NoFingerprints {
+					// level key: the decomposition node index,
+					// unique per subtree shape.
+					t = st.a.EdgeTable(u, i, j)
 				}
+				urow := int(u) * nb
+				gf.MulSliceTable16(av, right[urow:urow+nb], t)
 			}
-			for _, sp := range spans {
-				// P(i, H') = P(i, H'_1) · Σ_u r·P(u, H'_2)
-				gf.HadamardInto(dstAll[row+sp.lo:row+sp.hi], left[row+sp.lo:row+sp.hi], av[sp.lo:sp.hi])
-			}
+			// P(i, H') = P(i, H'_1) · Σ_u r·P(u, H'_2)
+			row := int(i) * nb
+			gf.HadamardInto(dst[row:row+nb], left[row:row+nb], av)
 		}
 	})
 	opt.obsEnd()
 }
 
-func (f *treeFamily) Finalize(e *groupRun) {
-	root := f.vals[f.d.Root]
-	n := e.g.NumVertices()
-	for _, st := range e.live {
-		st.accumulate(root, e.gr.stride, n)
-	}
+func (f *treeFamily) Finalize(e *laneRun) {
+	e.st.accumulate(f.vals[f.d.Root][:e.g.NumVertices()*e.st.nb])
 }
 
 // DetectTree decides whether the tree template has a non-induced
@@ -141,8 +119,7 @@ func DetectTree(g *graph.Graph, tpl *graph.Template, opt Options) (bool, error) 
 		opt.Arena = NewArena() // share slabs across this call's rounds
 	}
 	st := soloLane(k, opt)
-	gr := &famGroup{fam: &treeFamily{d: tpl.Decompose()}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
+	if err := runLane(g, &treeFamily{d: tpl.Decompose()}, st, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -156,9 +133,8 @@ func treeRound(g *graph.Graph, d *graph.Decomposition, a *Assignment, opt Option
 	if opt.Arena == nil {
 		opt.Arena = NewArena()
 	}
-	st := &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	gr := &famGroup{fam: &treeFamily{d: d}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
+	st := assignedLane(a)
+	if err := sweep(g, &treeFamily{d: d}, st, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -260,7 +260,8 @@ func TestDeadlineAbortsSweep(t *testing.T) {
 // TestCancelMidFlight: DELETE /v1/jobs/{id} on a slow async k=18 query
 // cancels it mid-flight.
 func TestCancelMidFlight(t *testing.T) {
-	s := testServer(t, Config{Workers: 1})
+	logger, started := newLogSignal("sweep started")
+	s := testServer(t, Config{Workers: 1, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", graph.RandomGNM(300, 1200, 4))
 	wait := false
@@ -270,20 +271,12 @@ func TestCancelMidFlight(t *testing.T) {
 		t.Fatalf("async submit: %d %s", resp.StatusCode, body)
 	}
 	v := decodeJob(t, body)
-	// Give it a moment to actually start executing.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		_, jb := getBody(t, base+"/v1/jobs/"+v.ID)
-		if decodeJob(t, jb).Status == StatusRunning {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	await(t, "the sweep to start", started)
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
 	if _, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		_, jb := getBody(t, base+"/v1/jobs/"+v.ID)
 		jv := decodeJob(t, jb)
 		if jv.Status == StatusCancelled {
@@ -431,7 +424,8 @@ func TestBadRequests(t *testing.T) {
 // TestGracefulDrain: during Shutdown, in-flight work finishes, new
 // admissions get 503, and Shutdown returns cleanly within the window.
 func TestGracefulDrain(t *testing.T) {
-	s := New(Config{Workers: 2})
+	logger, started := newLogSignal("sweep started")
+	s := New(Config{Workers: 2, Logger: logger})
 	s.AddGraph("g", graph.RandomGNM(100, 400, 6))
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -449,11 +443,7 @@ func TestGracefulDrain(t *testing.T) {
 			QueryRequest{Graph: "g", Kind: KindPath, K: 14, Seed: 8, Rounds: 1, N2: 64})
 		ch <- outcome{resp.StatusCode, decodeJob(t, body)}
 	}()
-	// Wait until it is actually executing.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.inflight.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	await(t, "the in-flight query's sweep to start", started)
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -496,7 +486,8 @@ func TestGracefulDrain(t *testing.T) {
 // TestForcedDrainCancelsWork: a drain window far shorter than the
 // running query cancels it rather than waiting.
 func TestForcedDrainCancelsWork(t *testing.T) {
-	s := New(Config{Workers: 1})
+	logger, started := newLogSignal("sweep started")
+	s := New(Config{Workers: 1, Logger: logger})
 	s.AddGraph("g", graph.RandomGNM(300, 1200, 6))
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -508,10 +499,7 @@ func TestForcedDrainCancelsWork(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.inflight.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	await(t, "the sweep to start", started)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
