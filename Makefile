@@ -34,11 +34,14 @@ fmt-check:
 race:
 	$(GO) test -race ./internal/cluster/... ./internal/comm/... ./internal/core/... ./internal/mld/... ./internal/obs/... ./internal/serve/... ./internal/store/...
 
-# A short burst of the differential fuzzer: random labeled graphs and
-# constraints, constrained-motif detection vs. brute-force enumeration.
+# A short burst of each differential fuzzer: random labeled graphs and
+# constraints, constrained-motif detection vs. brute-force enumeration;
+# and the GF Hadamard kernels vs. Mul on every reachable dispatch path.
+# -fuzz takes one target per run, hence one line each.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMotifVsBruteForce -fuzztime $(FUZZTIME) ./internal/mld
+	$(GO) test -run '^$$' -fuzz FuzzHadamardKernels -fuzztime $(FUZZTIME) ./internal/gf
 
 check: build vet fmt-check test race doc-links
 

@@ -8,9 +8,11 @@ package core
 // per-query cost drop of docs/BATCHING.md comes from; per-lane bytes
 // and DP compute still scale with occupancy.
 //
-// Lane semantics mirror mld's batch evaluators: every lane keeps its
-// own Assignment, shallower lanes fold their totals from the Gray
-// prefix of the deepest lane's sweep, and a cancelled lane is retired
+// Lane semantics: every lane keeps its own Assignment, so its answer
+// is the sequential DetectPath answer of the same seeding
+// (TestRunPathBatchMatchesSequential); shallower lanes fold their
+// totals from the Gray prefix of the deepest lane's sweep, and a
+// cancelled lane is retired
 // collectively (its bit rides the per-step all-reduce bitmask, so all
 // ranks mask it out at the same step and the halo widths never
 // diverge).

@@ -81,6 +81,21 @@ func BenchmarkHadamardInto(b *testing.B) {
 	sink16 = dst[0]
 }
 
+func BenchmarkHadamardInto8(b *testing.B) {
+	const n = 4096
+	x, y, dst := make([]uint8, n), make([]uint8, n), make([]uint8, n)
+	for i := range x {
+		x[i] = NonZero8(uint64(i)*0x9E3779B97F4A7C15 + 1)
+		y[i] = NonZero8(uint64(i)*0xBF58476D1CE4E5B9 + 7)
+	}
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		HadamardInto8(dst, x, y)
+	}
+	sink8 = dst[0]
+}
+
 func BenchmarkMulHadamardAccum(b *testing.B) {
 	const n = 4096
 	x, y, dst := benchSlice(n)

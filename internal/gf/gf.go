@@ -46,6 +46,9 @@ var (
 
 func init() {
 	buildTables()
+	if haveGFNI {
+		buildGFNIMatrices()
+	}
 }
 
 func buildTables() {
@@ -240,4 +243,6 @@ func Inv64(a uint64) uint64 {
 // The vector kernels the DP inner loops run on — MulSlice16,
 // HadamardInto, MulHadamardAccum, MulHadamardAccumScaled, their
 // prebuilt-table variants, and the GF(2^8) mirrors — live in
-// kernels.go (branch-free nibble-split implementations).
+// kernels.go: nibble-split tables for the constant multiplies, and
+// GFNI tower-field products (tower.go) or log/exp lookups for the
+// variable × variable ones.

@@ -31,10 +31,17 @@ package gf
 //     log/exp lookups.
 //
 // The Hadamard kernels (x[i]·y[i], both operands varying) cannot use
-// per-constant tables; they keep the scalar log/exp form — on the dense
-// slices the DP produces, the zero-branch is well-predicted and beats a
-// branch-free masked form — with the scaled variant fused into a single
-// triple-product lookup via the three-period exp16 table.
+// per-constant tables. On amd64 with GFNI they run 16 elements per
+// iteration in the tower field GF(2^8)[y]/(y² + y + λ) of tower.go:
+// VGF2P8AFFINEQB changes basis in-register, GF2P8MULB multiplies (three
+// byte products per element, Karatsuba), and a second set of affine
+// matrices changes back, so slices stay in the GF(2)[x]/Poly16 basis
+// and the output is byte-identical to Mul. HadamardInto8 does the same
+// with one basis change into GF(2^8)/0x11B, 32 elements per iteration.
+// Tails and machines without GFNI keep the scalar log/exp form — on the
+// dense slices the DP produces, the zero-branch is well-predicted and
+// beats a branch-free masked form — with the scaled variant fused into
+// a single triple-product lookup via the three-period exp16 table.
 //
 // Callers that reuse one coefficient across many slices — the per-edge
 // fingerprint coefficients of the DP — should build (or cache, see
@@ -42,7 +49,8 @@ package gf
 // *Table variants; the plain kernels build a table on the stack when
 // the slice is long enough to amortize it and otherwise fall back to
 // the scalar log/exp path. Every kernel here is pinned byte-identical
-// to the scalar reference by the property/fuzz tests in fuzz_test.go.
+// to the scalar reference, on every reachable dispatch path, by the
+// property/fuzz tests in kernels_fuzz_test.go.
 
 // word abstracts the element width so GF(2^16) and GF(2^8) share one
 // nibble-table construction (the field-width ablation measures the
@@ -347,10 +355,17 @@ func MulSliceTable8(dst, src []uint8, t *MulTable8) {
 
 // HadamardInto computes dst[i] = a[i]·b[i] over GF(2^16).
 // All three slices must have equal length (dst may alias a or b).
-// Both operands vary, so there is no per-constant table to exploit.
+// Both operands vary, so there is no per-constant table to exploit:
+// with GFNI, blocks of 16 run in the tower field of tower.go; the rest
+// (the tail, or everything without GFNI) goes through the log/exp
+// tables.
 func HadamardInto(dst, a, b []Elem) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("gf: HadamardInto length mismatch")
+	}
+	if n := len(dst) &^ 15; haveGFNI && n > 0 {
+		hadamardGFNI(&dst[0], &a[0], &b[0], n)
+		dst, a, b = dst[n:], a[n:], b[n:]
 	}
 	for i := range dst {
 		x, y := a[i], b[i]
@@ -368,6 +383,10 @@ func MulHadamardAccum(dst, a, b []Elem) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("gf: MulHadamardAccum length mismatch")
 	}
+	if n := len(dst) &^ 15; haveGFNI && n > 0 {
+		hadamardAccumGFNI(&dst[0], &a[0], &b[0], n)
+		dst, a, b = dst[n:], a[n:], b[n:]
+	}
 	for i := range dst {
 		x, y := a[i], b[i]
 		if x != 0 && y != 0 {
@@ -377,17 +396,20 @@ func MulHadamardAccum(dst, a, b []Elem) {
 }
 
 // MulHadamardAccumScaled computes dst[i] ^= c·a[i]·b[i] over GF(2^16);
-// the fused kernel of the scan-statistics DP cell update. The triple
-// product is a single lookup — exp16 carries three periods exactly so
-// that log c + log a + log b needs no modular reduction — where the
-// previous form chained the pairwise product through a second log/exp
-// round trip.
+// the fused kernel of the scan-statistics DP cell update. The GFNI
+// kernel multiplies a by φ(c) in the tower field; the scalar loop does
+// the triple product as a single lookup — exp16 carries three periods
+// exactly so that log c + log a + log b needs no modular reduction.
 func MulHadamardAccumScaled(dst, a, b []Elem, c Elem) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("gf: MulHadamardAccumScaled length mismatch")
 	}
 	if c == 0 {
 		return
+	}
+	if n := len(dst) &^ 15; haveGFNI && n > 0 {
+		hadamardAccumScaledGFNI(&dst[0], &a[0], &b[0], n, c)
+		dst, a, b = dst[n:], a[n:], b[n:]
 	}
 	lc := log16[c]
 	for i := range dst {
@@ -398,10 +420,15 @@ func MulHadamardAccumScaled(dst, a, b []Elem, c Elem) {
 	}
 }
 
-// HadamardInto8 computes dst[i] = a[i]·b[i] over GF(2^8).
+// HadamardInto8 computes dst[i] = a[i]·b[i] over GF(2^8); with GFNI,
+// blocks of 32 change basis into GF(2^8)/0x11B and back (tower.go).
 func HadamardInto8(dst, a, b []uint8) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("gf: HadamardInto8 length mismatch")
+	}
+	if n := len(dst) &^ 31; haveGFNI && n > 0 {
+		hadamard8GFNI(&dst[0], &a[0], &b[0], n)
+		dst, a, b = dst[n:], a[n:], b[n:]
 	}
 	for i := range dst {
 		x, y := a[i], b[i]

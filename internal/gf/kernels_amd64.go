@@ -5,9 +5,14 @@ package gf
 // AVX2 dispatch for the nibble-split axpy kernels. haveAsm is resolved
 // once at init from CPUID (AVX2 plus OS-enabled YMM state); when it is
 // false — pre-Haswell hardware, or YMM state disabled by the OS — the
-// portable byte-fused path in kernels.go takes over. Tests flip
-// haveAsm to pin both code paths against the scalar reference.
-var haveAsm = detectAVX2()
+// portable byte-fused path in kernels.go takes over. haveGFNI adds the
+// GF2P8MULB / VGF2P8AFFINEQB Hadamard kernels on top of AVX2; without
+// it the Hadamard kernels keep the scalar log/exp loop. Tests flip both
+// to pin every reachable path against the scalar reference.
+var (
+	haveAsm  = detectAVX2()
+	haveGFNI = haveAsm && detectGFNI()
+)
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuidAsm(0, 0)
@@ -28,6 +33,11 @@ func detectAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	return ebx7&(1<<5) != 0 // AVX2
+}
+
+func detectGFNI() bool {
+	_, _, ecx7, _ := cpuidAsm(7, 0)
+	return ecx7&(1<<8) != 0 // GFNI
 }
 
 // axpyLUT16 runs the SIMD kernel over the largest multiple of 16
@@ -66,6 +76,28 @@ func axpyNibbleAVX2(dst, src *Elem, n int, tab *[128]byte)
 //
 //go:noescape
 func axpyNibble8AVX2(dst, src *uint8, n int, tab *[32]byte)
+
+// hadamardGFNI computes dst[i] = a[i]·b[i] over GF(2^16) for n
+// elements (n > 0, n % 16 == 0) through the tower field of tower.go.
+//
+//go:noescape
+func hadamardGFNI(dst, a, b *Elem, n int)
+
+// hadamardAccumGFNI is hadamardGFNI with dst[i] ^= a[i]·b[i].
+//
+//go:noescape
+func hadamardAccumGFNI(dst, a, b *Elem, n int)
+
+// hadamardAccumScaledGFNI is hadamardGFNI with dst[i] ^= c·a[i]·b[i].
+//
+//go:noescape
+func hadamardAccumScaledGFNI(dst, a, b *Elem, n int, c Elem)
+
+// hadamard8GFNI computes dst[i] = a[i]·b[i] over GF(2^8) for n
+// elements (n > 0, n % 32 == 0).
+//
+//go:noescape
+func hadamard8GFNI(dst, a, b *uint8, n int)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

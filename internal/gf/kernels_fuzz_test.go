@@ -9,10 +9,11 @@ import (
 // Property tests pinning every slice kernel byte-identical to a naive
 // scalar reference built directly on Mul/Mul8, across all lengths
 // 0..129 (covering the empty, sub-threshold, SIMD-block and ragged-tail
-// regimes), with aliased dst==src, and on BOTH code paths: the
-// accelerated one (haveAsm as detected) and the portable fallback
-// (haveAsm forced false). haveAsm is a variable on every architecture
-// precisely so these tests can flip it.
+// regimes), with aliased dst, and on every reachable dispatch path:
+// portable (haveAsm and haveGFNI forced false), AVX2 without GFNI, and
+// AVX2 with the GFNI Hadamard kernels. haveAsm and haveGFNI are
+// variables on every architecture precisely so these tests can flip
+// them.
 
 // refAxpy16 is dst[i] ^= c·src[i] straight from Mul.
 func refAxpy16(dst, src []Elem, c Elem) {
@@ -51,18 +52,29 @@ func randSlice8(r *rng.Rand, n int) []uint8 {
 	return s
 }
 
-// withBothPaths runs fn under every reachable haveAsm setting. The
-// accelerated path only exists where the detector found it, so on
-// machines without AVX2 (and on non-amd64) only the portable path runs.
-func withBothPaths(t *testing.T, fn func(t *testing.T)) {
-	orig := haveAsm
-	defer func() { haveAsm = orig }()
-	haveAsm = false
-	t.Run("portable", fn)
-	if orig {
+// forEachPath calls fn under every reachable dispatch setting —
+// "portable", "asm" (AVX2, scalar Hadamard) and "gfni" (AVX2 plus the
+// GFNI Hadamard kernels) — and then restores the detected one. A path
+// only exists where the detector found it, so on machines without AVX2
+// (and on non-amd64) only the portable path runs.
+func forEachPath(fn func(path string)) {
+	asm, gfni := haveAsm, haveGFNI
+	defer func() { haveAsm, haveGFNI = asm, gfni }()
+	haveAsm, haveGFNI = false, false
+	fn("portable")
+	if asm {
 		haveAsm = true
-		t.Run("asm", fn)
+		fn("asm")
 	}
+	if gfni {
+		haveGFNI = true
+		fn("gfni")
+	}
+}
+
+// withBothPaths runs fn as one subtest per reachable dispatch setting.
+func withBothPaths(t *testing.T, fn func(t *testing.T)) {
+	forEachPath(func(path string) { t.Run(path, fn) })
 }
 
 func TestKernelMulSlice16BothPaths(t *testing.T) {
@@ -191,77 +203,181 @@ func TestMulSliceTable8MatchesScalar(t *testing.T) {
 	})
 }
 
-func TestHadamardKernelsMatchScalar(t *testing.T) {
-	r := rng.New(105)
-	for n := 0; n <= 129; n++ {
-		a := randSlice16(r, n)
-		b := randSlice16(r, n)
-		dst := randSlice16(r, n)
-		c := Elem(r.Uint32())
-
-		want := make([]Elem, n)
-		for i := range want {
-			want[i] = Mul(a[i], b[i])
-		}
-		got := append([]Elem(nil), dst...)
-		HadamardInto(got, a, b)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("HadamardInto n=%d [%d]: got %#x want %#x", n, i, got[i], want[i])
+// checkHadamard16 runs the three GF(2^16) Hadamard kernels on
+// (dst, a, b, c) and compares them with Mul, with dst separate and
+// aliased to a and to b; path names the dispatch setting in failures.
+func checkHadamard16(t *testing.T, path string, dst, a, b []Elem, c Elem) {
+	t.Helper()
+	kernels := []struct {
+		name string
+		run  func(dst, a, b []Elem)
+		want func(d, x, y Elem) Elem
+	}{
+		{"HadamardInto", HadamardInto, func(_, x, y Elem) Elem { return Mul(x, y) }},
+		{"MulHadamardAccum", MulHadamardAccum, func(d, x, y Elem) Elem { return d ^ Mul(x, y) }},
+		{"MulHadamardAccumScaled", func(dst, a, b []Elem) { MulHadamardAccumScaled(dst, a, b, c) },
+			func(d, x, y Elem) Elem { return d ^ Mul(c, Mul(x, y)) }},
+	}
+	for _, k := range kernels {
+		for _, alias := range []string{"none", "dst==a", "dst==b"} {
+			x, y := append([]Elem(nil), a...), append([]Elem(nil), b...)
+			got := append([]Elem(nil), dst...)
+			switch alias {
+			case "dst==a":
+				x = got
+			case "dst==b":
+				y = got
 			}
-		}
-
-		got = append([]Elem(nil), dst...)
-		want = append([]Elem(nil), dst...)
-		for i := range want {
-			want[i] ^= Mul(a[i], b[i])
-		}
-		MulHadamardAccum(got, a, b)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("MulHadamardAccum n=%d [%d]: got %#x want %#x", n, i, got[i], want[i])
+			want := make([]Elem, len(got))
+			for i := range want {
+				want[i] = k.want(got[i], x[i], y[i])
 			}
-		}
-
-		got = append([]Elem(nil), dst...)
-		want = append([]Elem(nil), dst...)
-		for i := range want {
-			want[i] ^= Mul(c, Mul(a[i], b[i]))
-		}
-		MulHadamardAccumScaled(got, a, b, c)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("MulHadamardAccumScaled n=%d c=%#x [%d]: got %#x want %#x", n, c, i, got[i], want[i])
-			}
-		}
-
-		// aliased dst==a, the shape every DP level uses
-		got = append([]Elem(nil), a...)
-		want = make([]Elem, n)
-		for i := range want {
-			want[i] = Mul(a[i], b[i])
-		}
-		HadamardInto(got, got, b)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("HadamardInto aliased n=%d [%d]: got %#x want %#x", n, i, got[i], want[i])
-			}
-		}
-
-		a8 := randSlice8(r, n)
-		b8 := randSlice8(r, n)
-		got8 := randSlice8(r, n)
-		want8 := make([]uint8, n)
-		for i := range want8 {
-			want8[i] = Mul8(a8[i], b8[i])
-		}
-		HadamardInto8(got8, a8, b8)
-		for i := range got8 {
-			if got8[i] != want8[i] {
-				t.Fatalf("HadamardInto8 n=%d [%d]: got %#x want %#x", n, i, got8[i], want8[i])
+			k.run(got, x, y)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s %s n=%d c=%#x [%d]: got %#x want %#x", path, k.name, alias, len(got), c, i, got[i], want[i])
+				}
 			}
 		}
 	}
+}
+
+func checkHadamard8(t *testing.T, path string, dst, a, b []uint8) {
+	t.Helper()
+	want := make([]uint8, len(dst))
+	for i := range want {
+		want[i] = Mul8(a[i], b[i])
+	}
+	HadamardInto8(dst, a, b)
+	for i := range dst {
+		if dst[i] != want[i] {
+			t.Fatalf("%s HadamardInto8 n=%d [%d]: got %#x want %#x", path, len(dst), i, dst[i], want[i])
+		}
+	}
+}
+
+func TestHadamardKernelsMatchScalar(t *testing.T) {
+	withBothPaths(t, func(t *testing.T) {
+		r := rng.New(105)
+		for n := 0; n <= 129; n++ {
+			c := Elem(r.Uint32())
+			if n%17 == 0 {
+				c = 0
+			}
+			checkHadamard16(t, t.Name(), randSlice16(r, n), randSlice16(r, n), randSlice16(r, n), c)
+			checkHadamard8(t, t.Name(), randSlice8(r, n), randSlice8(r, n), randSlice8(r, n))
+		}
+	})
+}
+
+// TestHadamardGFNIBasisPairs proves the GFNI GF(2^16) kernels equal to
+// Mul on every input, not just sampled ones. A 16-element block of the
+// kernel is GF(2)-bilinear in (a, b) — every step is a linear
+// VGF2P8AFFINEQB (immediate 0), a shuffle, an XOR or the bilinear
+// GF2P8MULB — and the scaled kernel is trilinear in (a, b, c). A
+// bilinear map is fixed by its values on pairs of basis vectors, so
+// it suffices to put x^i at position p of a and x^j at position q of b,
+// for all 256 (p, i) and all 256 (q, j), and require Mul(x^i, x^j) at
+// position p when p == q and zero everywhere else; with c also running
+// over x^0..x^15 for the scaled kernel. The 16-element block is the
+// only unit the kernels have: longer slices loop over it and tails run
+// the scalar loop.
+func TestHadamardGFNIBasisPairs(t *testing.T) {
+	if !haveGFNI {
+		t.Skip("no GFNI on this machine")
+	}
+	var a, b, dst [16]Elem
+	for p := 0; p < 16; p++ {
+		for i := 0; i < 16; i++ {
+			for q := 0; q < 16; q++ {
+				for j := 0; j < 16; j++ {
+					a, b = [16]Elem{}, [16]Elem{}
+					a[p], b[q] = 1<<i, 1<<j
+					var prod Elem
+					if p == q {
+						prod = Mul(1<<i, 1<<j)
+					}
+					check := func(kernel string, scale Elem) {
+						for r := range dst {
+							want := Elem(0)
+							if r == p {
+								want = Mul(scale, prod)
+							}
+							if dst[r] != want {
+								t.Fatalf("%s c=%#x a[%d]=x^%d b[%d]=x^%d: dst[%d]=%#x want %#x", kernel, scale, p, i, q, j, r, dst[r], want)
+							}
+						}
+					}
+					for r := range dst {
+						dst[r] = 0xA5A5 // HadamardInto must overwrite
+					}
+					hadamardGFNI(&dst[0], &a[0], &b[0], 16)
+					check("HadamardInto", 1)
+					dst = [16]Elem{}
+					hadamardAccumGFNI(&dst[0], &a[0], &b[0], 16)
+					check("MulHadamardAccum", 1)
+					for k := 0; k < 16; k++ {
+						dst = [16]Elem{}
+						hadamardAccumScaledGFNI(&dst[0], &a[0], &b[0], 16, 1<<k)
+						check("MulHadamardAccumScaled", 1<<k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHadamardGFNIAllPairs checks the GFNI HadamardInto against the
+// log/exp tables on all 2^32 operand pairs: for each a, b runs over
+// Exp(0..Order16−1) and 0, so Mul(a, b) is exp16[log a + e] read
+// sequentially.
+func TestHadamardGFNIAllPairs(t *testing.T) {
+	if !haveGFNI {
+		t.Skip("no GFNI on this machine")
+	}
+	if testing.Short() {
+		t.Skip("2^32 products take ~10 s")
+	}
+	b := make([]Elem, 1<<16)
+	for e := 0; e < Order16; e++ {
+		b[e] = Exp(uint32(e))
+	}
+	a, dst := make([]Elem, 1<<16), make([]Elem, 1<<16)
+	for x := 0; x < 1<<16; x++ {
+		for i := range a {
+			a[i] = Elem(x)
+		}
+		HadamardInto(dst, a, b)
+		if dst[Order16] != 0 {
+			t.Fatalf("%#x·0 = %#x", x, dst[Order16])
+		}
+		if x == 0 {
+			for e, v := range dst {
+				if v != 0 {
+					t.Fatalf("0·%#x = %#x", b[e], v)
+				}
+			}
+			continue
+		}
+		want := exp16[log16[x]:]
+		for e, v := range dst[:Order16] {
+			if v != want[e] {
+				t.Fatalf("%#x·%#x = %#x, want %#x", x, b[e], v, want[e])
+			}
+		}
+	}
+}
+
+// TestHadamardInto8AllPairs checks HadamardInto8 on all 2^16 operand
+// pairs, on every reachable path.
+func TestHadamardInto8AllPairs(t *testing.T) {
+	withBothPaths(t, func(t *testing.T) {
+		a, b := make([]uint8, 1<<16), make([]uint8, 1<<16)
+		for i := range a {
+			a[i], b[i] = uint8(i), uint8(i>>8)
+		}
+		checkHadamard8(t, t.Name(), make([]uint8, 1<<16), a, b)
+	})
 }
 
 func TestAnyNonZeroMatchesScan(t *testing.T) {
@@ -333,4 +449,28 @@ func randSlice16FromFuzz(r *rng.Rand, n int) []Elem {
 		s[i] = Elem(r.Uint32())
 	}
 	return s
+}
+
+// FuzzHadamardKernels drives the Hadamard kernels with random operands,
+// scale, length and a slice offset (so blocks start at every alignment)
+// through every reachable dispatch path.
+func FuzzHadamardKernels(f *testing.F) {
+	f.Add(uint64(1), uint16(0), 0, uint8(0))
+	f.Add(uint64(0xdeadbeef), uint16(1), 16, uint8(3))
+	f.Add(uint64(42), uint16(0x8000), 129, uint8(15))
+	f.Fuzz(func(t *testing.T, seed uint64, c uint16, n int, off uint8) {
+		if n < 0 || n > 129 {
+			return
+		}
+		o := int(off % 32)
+		r := rng.New(seed)
+		slice16 := func() []Elem { return randSlice16FromFuzz(r, o+n)[o:] }
+		a, b, dst := slice16(), slice16(), slice16()
+		slice8 := func() []uint8 { return randSlice8(r, o+n)[o:] }
+		a8, b8, dst8 := slice8(), slice8(), slice8()
+		forEachPath(func(path string) {
+			checkHadamard16(t, path, dst, a, b, c)
+			checkHadamard8(t, path, append([]uint8(nil), dst8...), a8, b8)
+		})
+	})
 }

@@ -3,9 +3,10 @@
 package gf
 
 // No SIMD kernels on this architecture: the byte-fused portable path
-// in kernels.go is always active. haveAsm is a var (not a const) so
-// the dispatch code reads identically on every architecture.
-var haveAsm = false
+// and the scalar Hadamard loops in kernels.go are always active.
+// haveAsm and haveGFNI are vars (not consts) so the dispatch code reads
+// identically on every architecture.
+var haveAsm, haveGFNI = false, false
 
 func axpyLUT16(dst, src []Elem, lut *[128]byte, c Elem) {
 	panic("gf: SIMD kernel unavailable on this architecture")
@@ -13,4 +14,20 @@ func axpyLUT16(dst, src []Elem, lut *[128]byte, c Elem) {
 
 func axpyLUT8(dst, src []uint8, lut *[32]byte, c uint8) {
 	panic("gf: SIMD kernel unavailable on this architecture")
+}
+
+func hadamardGFNI(dst, a, b *Elem, n int) {
+	panic("gf: GFNI kernel unavailable on this architecture")
+}
+
+func hadamardAccumGFNI(dst, a, b *Elem, n int) {
+	panic("gf: GFNI kernel unavailable on this architecture")
+}
+
+func hadamardAccumScaledGFNI(dst, a, b *Elem, n int, c Elem) {
+	panic("gf: GFNI kernel unavailable on this architecture")
+}
+
+func hadamard8GFNI(dst, a, b *uint8, n int) {
+	panic("gf: GFNI kernel unavailable on this architecture")
 }

@@ -266,7 +266,8 @@ func TestTraceDispositionCacheHit(t *testing.T) {
 // TestTraceDispositionSingleflight: a query identical to one already
 // executing attaches to its flight and records singleflight-joined.
 func TestTraceDispositionSingleflight(t *testing.T) {
-	s := testServer(t, Config{Workers: 4})
+	logger, started := newLogSignal("sweep started")
+	s := testServer(t, Config{Workers: 4, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", graph.RandomGNM(150, 600, 2))
 	q := QueryRequest{Graph: "big", Kind: KindPath, K: 16, Seed: 5, Rounds: 1, N2: 64}
@@ -278,16 +279,7 @@ func TestTraceDispositionSingleflight(t *testing.T) {
 	}()
 	// Wait until the leader's DP is actually running, so the follower
 	// deterministically finds an open flight (not an empty cache slot).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if v, code := fetchTrace(t, base, "disp-sf-lead"); code == http.StatusOK && stageIndex(v, StageDP) >= 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader query never reached its dp stage")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	await(t, "the leader's sweep to start", started)
 	resp, body := postJSONID(t, base+"/v1/query", "disp-sf-join", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follower query: %d %s", resp.StatusCode, body)
