@@ -14,18 +14,15 @@
 //   - the boolean answer of a run changed,
 //   - a counted field (msgs, bytes, dp-ops, halo-msgs, halo-bytes,
 //     rounds, phases, levels) grew by more than -tol (default 10%),
-//   - a batch record's occupancy dropped, or its amortized per-query
-//     msgs / dp-ops grew by more than -tol,
 //   - a motif record's sieve answer changed, or its sieve dp-ops or
 //     the FASCIA table footprint grew by more than -tol,
 //   - a cluster record's answer changed, or its routing/transparency/
 //     handoff booleans (forwarded, forwardOK, handoffOK) went false.
 //
-// cells-skipped, the batch speedup ratios, the motif wall-time ratio
-// and the kernel throughput records are informational: skips elide
-// work the analytic dp-ops counter still models, speedups fold in the
-// α–β model constants, wall time and kernel MB/s depend on the host
-// CPU.
+// cells-skipped, the motif wall-time ratio and the kernel throughput
+// records are informational: skips elide work the analytic dp-ops
+// counter still models, and wall time and kernel MB/s depend on the
+// host CPU.
 package main
 
 import (
@@ -116,67 +113,11 @@ func Compare(oldRep, newRep harness.Report, tol float64) (findings, info []strin
 			info = append(info, fmt.Sprintf("%s cells-skipped: %d → %d (informational)", o.key, os, ns))
 		}
 	}
-	findings, info = compareBatches(oldRep, newRep, tol, findings, info)
 	findings, info = compareMotifs(oldRep, newRep, tol, findings, info)
 	findings, info = compareStores(oldRep, newRep, tol, findings, info)
 	findings, info = compareClusters(oldRep, newRep, findings, info)
 	for _, k := range newRep.Kernels {
 		info = append(info, fmt.Sprintf("kernel %s: %.0f MB/s (informational)", k.Name, k.MBPerSec))
-	}
-	return findings, info
-}
-
-// compareBatches gates the batched-query amortization records: the
-// batch occupancy must not shrink, and the amortized per-query message
-// and DP-op counts (deterministic in the parameters) must not grow
-// beyond tolerance. The speedup ratio is informational — it folds in
-// the α–β model constants.
-func compareBatches(oldRep, newRep harness.Report, tol float64, findings, info []string) ([]string, []string) {
-	index := func(recs []harness.BatchRecord) map[string]harness.BatchRecord {
-		m := make(map[string]harness.BatchRecord, len(recs))
-		for _, b := range recs {
-			m[fmt.Sprintf("batch %s/k=%d/n=%d", b.Dataset, b.K, b.N)] = b
-		}
-		return m
-	}
-	oldB, newB := index(oldRep.Batches), index(newRep.Batches)
-	keys := make([]string, 0, len(oldB))
-	for k := range oldB {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	gateF := func(key, field string, o, n float64) {
-		if o == n {
-			return
-		}
-		change := "∞"
-		if o != 0 {
-			change = fmt.Sprintf("%+.1f%%", 100*(n-o)/o)
-		}
-		line := fmt.Sprintf("%s %s: %.1f → %.1f (%s)", key, field, o, n, change)
-		if n > o*(1+tol) {
-			findings = append(findings, line)
-		} else {
-			info = append(info, line)
-		}
-	}
-	for _, key := range keys {
-		o := oldB[key]
-		n, ok := newB[key]
-		if !ok {
-			findings = append(findings, fmt.Sprintf("%s: batch record missing from new report", key))
-			continue
-		}
-		if n.Lanes < o.Lanes {
-			findings = append(findings, fmt.Sprintf("%s occupancy: %d → %d lanes", key, o.Lanes, n.Lanes))
-		}
-		gateF(key, "per-query-msgs", o.PerQueryMsgs, n.PerQueryMsgs)
-		gateF(key, "per-query-dp-ops", o.PerQueryDPOps, n.PerQueryDPOps)
-		info = append(info, fmt.Sprintf("%s speedup: %.2fx → %.2fx (informational)", key, o.PerQuerySpeedup, n.PerQuerySpeedup))
 	}
 	return findings, info
 }

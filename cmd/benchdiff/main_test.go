@@ -85,82 +85,6 @@ func TestCompareImprovementNotGated(t *testing.T) {
 	}
 }
 
-func mkBatch(dataset string, k, lanes int, perQMsgs, perQDPOps, speedup float64) harness.BatchRecord {
-	return harness.BatchRecord{
-		Dataset: dataset, K: k, N: 16, Lanes: lanes,
-		PerQueryMsgs: perQMsgs, PerQueryDPOps: perQDPOps, PerQuerySpeedup: speedup,
-	}
-}
-
-func TestCompareBatchClean(t *testing.T) {
-	old := mkReport(mkRun("er", 4, 100, 5000, true))
-	neu := mkReport(mkRun("er", 4, 100, 5000, true))
-	old.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 3.7)}
-	neu.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 3.7)}
-	findings, _ := Compare(old, neu, 0.10)
-	if len(findings) != 0 {
-		t.Fatalf("identical batch records produced findings: %v", findings)
-	}
-}
-
-func TestCompareBatchOccupancyDropGated(t *testing.T) {
-	old := mkReport()
-	neu := mkReport()
-	old.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 3.7)}
-	neu.Batches = []harness.BatchRecord{mkBatch("random", 4, 2, 2000, 390000, 1.8)}
-	findings, _ := Compare(old, neu, 0.10)
-	if len(findings) == 0 {
-		t.Fatal("occupancy drop 4 → 2 not flagged")
-	}
-	if !strings.Contains(findings[0], "occupancy") {
-		t.Fatalf("finding does not name occupancy: %q", findings[0])
-	}
-}
-
-func TestCompareBatchPerQueryGrowthGated(t *testing.T) {
-	old := mkReport()
-	neu := mkReport()
-	old.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 3.7)}
-	neu.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 3000, 500000, 3.7)} // +50%, +28%
-	findings, _ := Compare(old, neu, 0.10)
-	if len(findings) != 2 {
-		t.Fatalf("want 2 findings (msgs, dp-ops), got %v", findings)
-	}
-	if !strings.Contains(findings[0], "per-query-msgs") || !strings.Contains(findings[1], "per-query-dp-ops") {
-		t.Fatalf("findings do not name the amortized fields: %v", findings)
-	}
-}
-
-func TestCompareBatchSpeedupInformational(t *testing.T) {
-	old := mkReport()
-	neu := mkReport()
-	old.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 3.7)}
-	neu.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 1.1)} // speedup collapse must not gate
-	findings, info := Compare(old, neu, 0.10)
-	if len(findings) != 0 {
-		t.Fatalf("speedup change gated: %v", findings)
-	}
-	var seen bool
-	for _, l := range info {
-		if strings.Contains(l, "speedup") {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatal("speedup not reported informationally")
-	}
-}
-
-func TestCompareBatchMissingGated(t *testing.T) {
-	old := mkReport()
-	neu := mkReport()
-	old.Batches = []harness.BatchRecord{mkBatch("random", 4, 4, 2000, 390000, 3.7)}
-	findings, _ := Compare(old, neu, 0.10)
-	if len(findings) != 1 || !strings.Contains(findings[0], "missing") {
-		t.Fatalf("missing batch record not flagged: %v", findings)
-	}
-}
-
 func mkMotif(k int, constraint string, found bool, dpops int64) harness.MotifRecord {
 	return harness.MotifRecord{
 		Dataset: "random", Vertices: 300, K: k, Constraint: constraint,

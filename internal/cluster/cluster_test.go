@@ -547,7 +547,7 @@ func TestAutoTuneFillsPlan(t *testing.T) {
 	if first.Cached {
 		t.Fatal("first query claims cached")
 	}
-	if want := mld.PlannedPhases(6, mld.PlanN2(0, 60, 6, 1, mld.PathSlabs)); first.TotalPhases != want {
+	if want := mld.PlannedPhases(6, mld.PlanN2(0, 60, 6, mld.PathSlabs)); first.TotalPhases != want {
 		t.Fatalf("TotalPhases = %d, want the planner's %d", first.TotalPhases, want)
 	}
 	// The auto-planned N1 is part of the key, so spelling it out must

@@ -22,7 +22,7 @@ func benchmarkPathRound(b *testing.B, n, k, n2 int) {
 	b.Helper()
 	g := graph.RandomNLogN(n, 1)
 	world := comm.NewLocalWorld(1, comm.CostModel{})
-	p, err := buildPlan(world[0], g, Config{K: k, N1: 1, N2: n2, Seed: 1, Rounds: 1}, 1, mld.PathSlabs)
+	p, err := buildPlan(world[0], g, Config{K: k, N1: 1, N2: n2, Seed: 1, Rounds: 1}, mld.PathSlabs)
 	if err != nil {
 		b.Fatal(err)
 	}

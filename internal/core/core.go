@@ -83,11 +83,11 @@ type Config struct {
 	Progress func(done, total int64)
 }
 
-// withDefaults resolves the unset knobs. vertices, lanes and slabs are
-// the shape mld.PlanN2 plans the phase width from: the graph's global
-// vertex count (not this rank's share, so every rank agrees), the
-// batch's lane count, and the family's slab count.
-func (cfg Config) withDefaults(worldSize, vertices, lanes, slabs int) (Config, error) {
+// withDefaults resolves the unset knobs. vertices and slabs are the
+// shape mld.PlanN2 plans the phase width from: the graph's global
+// vertex count (not this rank's share, so every rank agrees) and the
+// family's slab count.
+func (cfg Config) withDefaults(worldSize, vertices, slabs int) (Config, error) {
 	if cfg.N1 == 0 {
 		cfg.N1 = worldSize
 	}
@@ -97,7 +97,7 @@ func (cfg Config) withDefaults(worldSize, vertices, lanes, slabs int) (Config, e
 	if cfg.Scheme == "" {
 		cfg.Scheme = partition.SchemeBlock
 	}
-	cfg.N2 = mld.PlanN2(cfg.N2, vertices, cfg.K, lanes, slabs)
+	cfg.N2 = mld.PlanN2(cfg.N2, vertices, cfg.K, slabs)
 	return cfg, nil
 }
 
@@ -143,8 +143,8 @@ type haloList struct {
 	slots []int32 // value-buffer slots of verts
 }
 
-func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config, lanes, slabs int) (*plan, error) {
-	cfg, err := cfg.withDefaults(world.Size(), g.NumVertices(), lanes, slabs)
+func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config, slabs int) (*plan, error) {
+	cfg, err := cfg.withDefaults(world.Size(), g.NumVertices(), slabs)
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +403,7 @@ func RunPathProfiled(world *comm.Comm, g *graph.Graph, cfg Config) (bool, Profil
 	if cfg.K > g.NumVertices() {
 		return false, Profile{}, nil
 	}
-	p, err := buildPlan(world, g, cfg, 1, mld.PathSlabs)
+	p, err := buildPlan(world, g, cfg, mld.PathSlabs)
 	if err != nil {
 		return false, Profile{}, err
 	}

@@ -241,23 +241,22 @@ func TestRaggedPhaseCounts(t *testing.T) {
 // share), and a 2-rank round's all-reduced field total is byte-identical
 // at N2 = 8, 128, the planned width and 2^k.
 func TestPhaseWidthPlanAndIndependence(t *testing.T) {
-	for _, c := range []struct{ n, k, lanes, slabs, want int }{
-		{750, 11, 1, mld.PathSlabs, 512},          // solo-deep's shape
-		{4000, 8, 1, mld.PathSlabs, 128},          // dist-r2's path shape
-		{4000, 8, 1, mld.LevelSlabs(8), 128},      // dist-r2's motif shape
-		{1000, 9, 12, mld.PathSlabs, 128},         // a 12-lane batch
-		{60, 6, 1, mld.WeightSlabs(6, 3), 1 << 6}, // 2^k caps
+	for _, c := range []struct{ n, k, slabs, want int }{
+		{750, 11, mld.PathSlabs, 512},          // solo-deep's shape
+		{4000, 8, mld.PathSlabs, 128},          // dist-r2's path shape
+		{4000, 8, mld.LevelSlabs(8), 128},      // dist-r2's motif shape
+		{60, 6, mld.WeightSlabs(6, 3), 1 << 6}, // 2^k caps
 	} {
-		cfg, err := Config{K: c.k}.withDefaults(2, c.n, c.lanes, c.slabs)
+		cfg, err := Config{K: c.k}.withDefaults(2, c.n, c.slabs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := mld.PlanN2(0, c.n, c.k, c.lanes, c.slabs); cfg.N2 != want || want != c.want {
-			t.Errorf("withDefaults(n=%d k=%d lanes=%d slabs=%d): N2=%d, mld.PlanN2=%d, want %d",
-				c.n, c.k, c.lanes, c.slabs, cfg.N2, want, c.want)
+		if want := mld.PlanN2(0, c.n, c.k, c.slabs); cfg.N2 != want || want != c.want {
+			t.Errorf("withDefaults(n=%d k=%d slabs=%d): N2=%d, mld.PlanN2=%d, want %d",
+				c.n, c.k, c.slabs, cfg.N2, want, c.want)
 		}
 	}
-	if cfg, _ := (Config{K: 11, N2: 40}).withDefaults(2, 750, 1, mld.PathSlabs); cfg.N2 != 40 {
+	if cfg, _ := (Config{K: 11, N2: 40}).withDefaults(2, 750, mld.PathSlabs); cfg.N2 != 40 {
 		t.Errorf("explicit N2=40 resolved to %d", cfg.N2)
 	}
 
@@ -268,7 +267,7 @@ func TestPhaseWidthPlanAndIndependence(t *testing.T) {
 	for i, n2 := range []int{8, 128, 0, 1 << k} {
 		totals := make([]uint64, 2)
 		err := comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
-			p, err := buildPlan(c, g, Config{K: k, N1: 2, N2: n2, Seed: 5, NoTiming: true}, 1, mld.PathSlabs)
+			p, err := buildPlan(c, g, Config{K: k, N1: 2, N2: n2, Seed: 5, NoTiming: true}, mld.PathSlabs)
 			if err != nil {
 				return err
 			}
@@ -313,7 +312,7 @@ func TestHaloPlanSymmetry(t *testing.T) {
 	g := graph.RandomGNM(30, 80, 8)
 	plans := make([]*plan, 4)
 	err := comm.RunLocal(4, comm.CostModel{}, func(c *comm.Comm) error {
-		p, err := buildPlan(c, g, Config{K: 4, N1: 4, N2: 2, Seed: 6}, 1, mld.PathSlabs)
+		p, err := buildPlan(c, g, Config{K: 4, N1: 4, N2: 2, Seed: 6}, mld.PathSlabs)
 		if err != nil {
 			return err
 		}
@@ -351,7 +350,7 @@ func TestOwnershipPartitionInvariants(t *testing.T) {
 	g := graph.RandomGNM(50, 120, 2)
 	counts := make([]int, 50)
 	err := comm.RunLocal(3, comm.CostModel{}, func(c *comm.Comm) error {
-		p, err := buildPlan(c, g, Config{K: 4, N1: 3, Seed: 1}, 1, mld.PathSlabs)
+		p, err := buildPlan(c, g, Config{K: 4, N1: 3, Seed: 1}, mld.PathSlabs)
 		if err != nil {
 			return err
 		}

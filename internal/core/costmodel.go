@@ -81,9 +81,9 @@ func (p *plan) kernelCosts(buffers int) (elemSec, edgeSec float64) {
 //
 // The serving layer historically took N1 (graph parts) and N2 (phase
 // width) as static flags. N2 is no longer planned here: the phase
-// width is mld.PlanN2's, a byte budget on the DP state (slabs × n ×
-// lanes × N2 two-byte elements) that Config.withDefaults applies to
-// every run, auto-tuned or not. The earlier planner in this file
+// width is mld.PlanN2's, a byte budget on the DP state (slabs × n × N2
+// two-byte elements) that Config.withDefaults applies to every run,
+// auto-tuned or not. The earlier planner in this file
 // capped the width at 256 for fear of cache thrash and narrowed it
 // under load; a measured N2 sweep is monotone with no cliff
 // (docs/PERFORMANCE.md, "Table fetch"), and finer phases cost 2–3× the

@@ -60,7 +60,7 @@ func TestGoldenMotifDistributed(t *testing.T) {
 		perRank := make([][]string, 2)
 		err := comm.RunLocal(2, comm.CostModel{}, func(w *comm.Comm) error {
 			cfg := Config{K: c.spec.K, N1: c.n1, N2: c.n2, Seed: seed, Scheme: c.scheme, NoFingerprints: c.noFP}
-			p, err := buildPlan(w, g, cfg, 1, mld.LevelSlabs(c.spec.K))
+			p, err := buildPlan(w, g, cfg, mld.LevelSlabs(c.spec.K))
 			if err != nil {
 				return err
 			}

@@ -38,7 +38,7 @@ func runPathKoutis(world *comm.Comm, g *graph.Graph, cfg Config) (bool, error) {
 	if cfg.K > g.NumVertices() {
 		return false, nil
 	}
-	p, err := buildPlan(world, g, cfg, 1, mld.PathSlabs)
+	p, err := buildPlan(world, g, cfg, mld.PathSlabs)
 	if err != nil {
 		return false, err
 	}

@@ -32,7 +32,7 @@ func RunMaxWeightPath(world *comm.Comm, g *graph.Graph, cfg Config) (int64, bool
 		}
 	}
 	zmax := int64(cfg.K) * maxw
-	p, err := buildPlan(world, g, cfg, 1, mld.WeightSlabs(2, zmax))
+	p, err := buildPlan(world, g, cfg, mld.WeightSlabs(2, zmax))
 	if err != nil {
 		return 0, false, err
 	}

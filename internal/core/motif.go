@@ -24,7 +24,7 @@ func RunMotif(world *comm.Comm, g *graph.Graph, spec *mld.MotifSpec, cfg Config)
 	if cfg.K > g.NumVertices() {
 		return false, nil
 	}
-	p, err := buildPlan(world, g, cfg, 1, mld.LevelSlabs(cfg.K))
+	p, err := buildPlan(world, g, cfg, mld.LevelSlabs(cfg.K))
 	if err != nil {
 		return false, err
 	}

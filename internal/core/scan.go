@@ -42,7 +42,7 @@ func RunScan(world *comm.Comm, g *graph.Graph, cfg ScanConfig) ([][]bool, error)
 	for j := 1; j <= cfg.K && j <= g.NumVertices(); j++ {
 		sub := cfg.Config
 		sub.K = j
-		p, err := buildPlan(world, g, sub, 1, mld.WeightSlabs(j, cfg.ZMax))
+		p, err := buildPlan(world, g, sub, mld.WeightSlabs(j, cfg.ZMax))
 		if err != nil {
 			return nil, err
 		}

@@ -75,7 +75,6 @@ type Report struct {
 	// reports from older binaries — so the schema version is unchanged.
 	Build    *obs.BuildInfo  `json:"build,omitempty"`
 	Runs     []RunRecord     `json:"runs"`
-	Batches  []BatchRecord   `json:"batches,omitempty"`  // occupancy-4 batch vs sequential (see BatchBench)
 	Motifs   []MotifRecord   `json:"motifs,omitempty"`   // constrained sieve vs FASCIA baseline (see MotifBench)
 	Kernels  []KernelRecord  `json:"kernels,omitempty"`  // GF kernel throughput on this host
 	Stores   []StoreRecord   `json:"stores,omitempty"`   // cold-start: parse vs binary vs mmap (see StoreBench)
@@ -153,11 +152,6 @@ func BenchReport(p Params) (Report, error) {
 			rep.Runs = append(rep.Runs, rec)
 		}
 	}
-	batches, err := BatchBench(p)
-	if err != nil {
-		return rep, err
-	}
-	rep.Batches = batches
 	motifs, err := MotifBench(p)
 	if err != nil {
 		return rep, err

@@ -4,9 +4,7 @@ package mld
 // queries ("lanes") as a schedule of one-lane engine runs, each planned
 // at its own k exactly like DetectPath, so a lane's answer is
 // byte-identical to the solo run of the same seeding (TestDetectPath-
-// BatchMatchesSequential pins this). Strided multi-lane sweeps, where
-// batching saves messages, live in internal/core (RunPathBatch);
-// docs/BATCHING.md derives them.
+// BatchMatchesSequential pins this).
 //
 // A cancelled lane (its BatchLane.Ctx expired) stops at the next phase
 // or DP level: its LaneResult carries the context error and the
@@ -20,9 +18,9 @@ import (
 	"github.com/midas-hpc/midas/internal/graph"
 )
 
-// MaxBatchLanes bounds the lanes of one batch. The distributed batch
-// protocol (internal/core) carries the per-lane cancellation state as
-// one uint64 bitmask in its per-step all-reduce, so the bound is 64.
+// MaxBatchLanes bounds the lanes of one DetectPathBatch call and of one
+// batch that midas-serve's admission window assembles (its
+// BatchMaxLanes is capped here).
 const MaxBatchLanes = 64
 
 // BatchLane is one query of a batch: the target plus the per-lane
@@ -76,7 +74,7 @@ func laneOptions(opt Options, l BatchLane) Options {
 
 // DetectPathBatch answers len(lanes) independent k-path queries, lane
 // by lane in order, each as its own one-lane sweep planned at
-// PlanN2(opt.N2, n, k, 1, PathSlabs). Results are identical to calling
+// PlanN2(opt.N2, n, k, PathSlabs). Results are identical to calling
 // DetectPath once per lane with the lane's seeding. Lanes with an
 // invalid k resolve to the validation error and lanes with k > n to
 // Found=false, with no work. An expired opt.Ctx fails the lane it
@@ -111,7 +109,7 @@ func DetectPathBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResu
 			continue // Found=false, no work
 		}
 		st := newLane(l, opt)
-		n2 := PlanN2(opt.N2, n, l.K, 1, PathSlabs)
+		n2 := PlanN2(opt.N2, n, l.K, PathSlabs)
 		if batchErr == nil {
 			batchErr = runLane(g, &pathFamily{}, st, n2, opt)
 		} else {

@@ -111,7 +111,7 @@ func countdown(calls int64) *countdownCtx {
 func TestCancelLandsBetweenLevels(t *testing.T) {
 	g := graph.Path(40)
 	const k = 8
-	if n2 := PlanN2(0, g.NumVertices(), k, 1, PathSlabs); n2 != 1<<k {
+	if n2 := PlanN2(0, g.NumVertices(), k, PathSlabs); n2 != 1<<k {
 		t.Fatalf("planned width %d: the test wants a single-phase sweep", n2)
 	}
 	// Whole-run context: the round check, the phase check and two level

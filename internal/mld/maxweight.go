@@ -80,7 +80,7 @@ func MaxWeightPath(g *graph.Graph, k int, opt Options) (int64, bool, error) {
 // 2^k iterations and returns per-weight totals for level k.
 func maxWeightRound(g *graph.Graph, k int, zmax int64, a *Assignment, opt Options) []gf.Elem {
 	n := g.NumVertices()
-	n2 := PlanN2(opt.N2, n, k, 1, WeightSlabs(2, zmax))
+	n2 := PlanN2(opt.N2, n, k, WeightSlabs(2, zmax))
 	iters := uint64(1) << uint(k)
 	nz := int(zmax) + 1
 

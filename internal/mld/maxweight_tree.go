@@ -69,7 +69,7 @@ func MaxWeightTree(g *graph.Graph, tpl *graph.Template, opt Options) (int64, boo
 func maxWeightTreeRound(g *graph.Graph, d *graph.Decomposition, zmax int64, a *Assignment, opt Options) []gf.Elem {
 	n := g.NumVertices()
 	k := a.K
-	n2 := PlanN2(opt.N2, n, k, 1, WeightSlabs(k-1, zmax))
+	n2 := PlanN2(opt.N2, n, k, WeightSlabs(k-1, zmax))
 	iters := uint64(1) << uint(k)
 	nz := int(zmax) + 1
 	var maxw int64

@@ -47,10 +47,9 @@
 // such runs, each at its own planned width, so every answer is
 // byte-identical to the solo evaluator; a lane whose BatchLane.Ctx is
 // cancelled stops at the next phase or level while the rest run on.
-// The strided multi-lane sweep, where lanes share one pass and one set
-// of messages, is distributed-only: internal/core's RunPathBatch.
-// docs/BATCHING.md derives its layout, the Gray-prefix bijection and
-// the cost model.
+// No evaluator, sequential or distributed, shares one sweep among
+// several queries: docs/BATCHING.md has the measurements that retired
+// the strided layouts.
 package mld
 
 import (

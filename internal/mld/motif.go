@@ -247,7 +247,7 @@ func DetectMotif(g *graph.Graph, spec *MotifSpec, opt Options) (bool, error) {
 	}
 	st := soloLane(k, opt)
 	st.Motif = spec
-	if err := runLane(g, &motifFamily{g: g}, st, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
+	if err := runLane(g, &motifFamily{g: g}, st, PlanN2(opt.N2, g.NumVertices(), k, LevelSlabs(k)), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -262,7 +262,7 @@ func motifRound(g *graph.Graph, spec *MotifSpec, a *Assignment, opt Options) (gf
 	}
 	st := assignedLane(a)
 	st.Motif = spec
-	if err := sweep(g, &motifFamily{g: g}, st, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
+	if err := sweep(g, &motifFamily{g: g}, st, PlanN2(opt.N2, g.NumVertices(), a.K, LevelSlabs(a.K)), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -129,7 +129,7 @@ func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
 		return false, nil
 	}
 	st := soloLane(k, opt)
-	if err := runLane(g, &pathFamily{}, st, PlanN2(opt.N2, g.NumVertices(), k, 1, PathSlabs), opt); err != nil {
+	if err := runLane(g, &pathFamily{}, st, PlanN2(opt.N2, g.NumVertices(), k, PathSlabs), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -144,7 +144,7 @@ func pathRound(g *graph.Graph, a *Assignment, opt Options) (gf.Elem, error) {
 		opt.Arena = NewArena()
 	}
 	st := assignedLane(a)
-	if err := sweep(g, &pathFamily{}, st, PlanN2(opt.N2, g.NumVertices(), a.K, 1, PathSlabs), opt); err != nil {
+	if err := sweep(g, &pathFamily{}, st, PlanN2(opt.N2, g.NumVertices(), a.K, PathSlabs), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

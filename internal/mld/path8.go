@@ -65,7 +65,7 @@ func (a *assignment8) edgeCoeff(u, i int32, level int) uint8 {
 func pathRound8(g *graph.Graph, k int, opt Options, round int) uint8 {
 	n := g.NumVertices()
 	a := newAssignment8(n, k, opt.Seed, round)
-	n2 := PlanN2(opt.N2, n, k, 1, PathSlabs)
+	n2 := PlanN2(opt.N2, n, k, PathSlabs)
 	iters := uint64(1) << uint(k)
 
 	base := opt.Arena.Grab8(n * n2)

@@ -8,7 +8,7 @@ package mld
 // phases amortize that fetch over more iterations, and a measured N2
 // sweep is monotone with no cache cliff (docs/PERFORMANCE.md, "Table
 // fetch"), so the only ceiling on the width is the space the DP state
-// takes: slabs · n · lanes · N2 two-byte elements (the
+// takes: slabs · n · N2 two-byte elements (the
 // Akhtar–Misra–Philip accounting, PAPERS.md). PlanN2 spends a fixed
 // byte budget on it.
 //
@@ -32,15 +32,15 @@ const (
 
 // PlanN2 returns the phase width for a sweep of 2^k iterations (k
 // already validated, see ValidateK) over an n-vertex graph whose DP
-// keeps `slabs` buffers of n·lanes·N2 elements alive at once. An
+// keeps `slabs` buffers of n·N2 elements alive at once. An
 // explicit width (> 0) wins; otherwise the plan is the largest power of
 // two whose state fits phaseStateBudget, at least minPhaseWidth. Either
 // way the result is capped at 2^k.
-func PlanN2(explicit, n, k, lanes, slabs int) int {
+func PlanN2(explicit, n, k, slabs int) int {
 	total := 1 << uint(k)
 	n2 := explicit
 	if n2 <= 0 {
-		perIter := 2 * int64(slabs) * int64(n) * int64(lanes) // state bytes per unit of width
+		perIter := 2 * int64(slabs) * int64(n) // state bytes per unit of width
 		n2 = minPhaseWidth
 		for n2 < total && perIter*int64(2*n2) <= phaseStateBudget {
 			n2 *= 2

@@ -11,25 +11,25 @@ import (
 
 func TestPlanN2(t *testing.T) {
 	for _, c := range []struct {
-		name                        string
-		explicit, n, k, lanes, slab int
-		want                        int
+		name                 string
+		explicit, n, k, slab int
+		want                 int
 	}{
-		{"solo-deep shape", 0, 750, 11, 1, PathSlabs, 512},
-		{"dist-r2 path shape", 0, 4000, 8, 1, PathSlabs, 128},
-		{"dist-r2 motif shape", 0, 4000, 8, 1, LevelSlabs(8), 128},
-		{"burst-batch shape: 12 lanes hold the floor", 0, 1000, 9, 12, PathSlabs, 128},
-		{"kinds-wide shape: 2^k caps", 0, 10000, 7, 1, PathSlabs, 128},
-		{"floor on a huge graph", 0, 5_000_000, 18, 1, PathSlabs, 128},
-		{"cap 2^k below the floor", 0, 100, 5, 1, PathSlabs, 32},
-		{"tiny graph runs the sweep in one phase", 0, 20, 10, 1, PathSlabs, 1024},
-		{"explicit wins below the floor", 8, 750, 11, 1, PathSlabs, 8},
-		{"explicit wins above the budget", 2048, 100000, 11, 64, PathSlabs, 2048},
-		{"explicit is still capped at 2^k", 4096, 750, 11, 1, PathSlabs, 2048},
+		{"solo-deep shape", 0, 750, 11, PathSlabs, 512},
+		{"dist-r2 path shape", 0, 4000, 8, PathSlabs, 128},
+		{"dist-r2 motif shape", 0, 4000, 8, LevelSlabs(8), 128},
+		{"burst-batch lane: 2^k caps", 0, 1000, 9, PathSlabs, 512},
+		{"kinds-wide shape: 2^k caps", 0, 10000, 7, PathSlabs, 128},
+		{"floor on a huge graph", 0, 5_000_000, 18, PathSlabs, 128},
+		{"cap 2^k below the floor", 0, 100, 5, PathSlabs, 32},
+		{"tiny graph runs the sweep in one phase", 0, 20, 10, PathSlabs, 1024},
+		{"explicit wins below the floor", 8, 750, 11, PathSlabs, 8},
+		{"explicit wins above the budget", 2048, 100000, 11, PathSlabs, 2048},
+		{"explicit is still capped at 2^k", 4096, 750, 11, PathSlabs, 2048},
 	} {
-		if got := PlanN2(c.explicit, c.n, c.k, c.lanes, c.slab); got != c.want {
-			t.Errorf("%s: PlanN2(%d, %d, %d, %d, %d) = %d, want %d",
-				c.name, c.explicit, c.n, c.k, c.lanes, c.slab, got, c.want)
+		if got := PlanN2(c.explicit, c.n, c.k, c.slab); got != c.want {
+			t.Errorf("%s: PlanN2(%d, %d, %d, %d) = %d, want %d",
+				c.name, c.explicit, c.n, c.k, c.slab, got, c.want)
 		}
 	}
 
@@ -40,25 +40,17 @@ func TestPlanN2(t *testing.T) {
 		for _, slabs := range []int{PathSlabs, LevelSlabs(k), WeightSlabs(k, 8)} {
 			prevN := total
 			for n := 1; n <= 1<<22; n *= 4 {
-				got := PlanN2(0, n, k, 1, slabs)
+				got := PlanN2(0, n, k, slabs)
 				if got&(got-1) != 0 || got > total || got < min(minPhaseWidth, total) {
-					t.Fatalf("PlanN2(0, %d, %d, 1, %d) = %d: not a power of two in range", n, k, slabs, got)
+					t.Fatalf("PlanN2(0, %d, %d, %d) = %d: not a power of two in range", n, k, slabs, got)
 				}
 				if got > minPhaseWidth && int64(slabs)*int64(n)*int64(got)*2 > phaseStateBudget {
-					t.Fatalf("PlanN2(0, %d, %d, 1, %d) = %d busts the budget", n, k, slabs, got)
+					t.Fatalf("PlanN2(0, %d, %d, %d) = %d busts the budget", n, k, slabs, got)
 				}
 				if got > prevN {
 					t.Fatalf("k=%d slabs=%d: width grew %d → %d as n grew to %d", k, slabs, prevN, got, n)
 				}
 				prevN = got
-				prevL := got
-				for lanes := 2; lanes <= MaxBatchLanes; lanes *= 2 {
-					gl := PlanN2(0, n, k, lanes, slabs)
-					if gl > prevL {
-						t.Fatalf("k=%d n=%d: width grew %d → %d at %d lanes", k, n, prevL, gl, lanes)
-					}
-					prevL = gl
-				}
 			}
 		}
 	}
@@ -143,13 +135,13 @@ func TestTotalsIndependentOfPhaseWidth(t *testing.T) {
 	} {
 		t.Run(f.name+"/lanes=1", func(t *testing.T) {
 			n, k := f.g.NumVertices(), f.lane(f.g, 0).K
-			planned := PlanN2(0, n, k, 1, f.slabs)
+			planned := PlanN2(0, n, k, f.slabs)
 			if f.g == gWide && planned != 256 {
 				t.Fatalf("wide instance plans %d, want 256 (distinct from 8, 128 and 2^k)", planned)
 			}
 			var want []gf.Elem
 			for _, n2 := range []int{8, 128, planned, 1 << uint(k)} {
-				got := sweepTotals(t, f.g, f.fam(f.g), f.lane(f.g, 40), PlanN2(n2, n, k, 1, f.slabs))
+				got := sweepTotals(t, f.g, f.fam(f.g), f.lane(f.g, 40), PlanN2(n2, n, k, f.slabs))
 				if want == nil {
 					want = got
 					nonzero := false
@@ -211,7 +203,7 @@ func BenchmarkPathSweepN2(b *testing.B) {
 // G(n, m) with n = 1000, m = n·ln n) two ways on two cores: as 12 solo
 // DetectPath calls back to back with Workers: 2, and as serve's
 // ranks = 1 batch schedule — two goroutines pulling the lanes in order,
-// each lane a solo sweep with Workers: 1 (docs/BATCHING.md §8). Run via
+// each lane a solo sweep with Workers: 1 (docs/BATCHING.md §3). Run via
 // `make bench`.
 func BenchmarkBurstLanes(b *testing.B) {
 	const n, cores = 1000, 2

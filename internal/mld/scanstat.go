@@ -210,7 +210,7 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error)
 		// passes.
 		st.iters = uint64(1) << uint(j)
 		st.roundsTotal = opt.RoundsFor(j)
-		n2 := PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax))
+		n2 := PlanN2(opt.N2, g.NumVertices(), j, WeightSlabs(j, zmax))
 		if err := runLane(g, &scanFamily{j: j, maxw: maxw}, st, n2, opt); err != nil {
 			return nil, err
 		}
@@ -261,7 +261,7 @@ func scanRound(g *graph.Graph, j int, zmax int64, a *Assignment, opt Options) ([
 	st := assignedLane(a)
 	st.ZMax = zmax
 	st.scan = &scanExt{nz: int(zmax) + 1}
-	if err := sweep(g, &scanFamily{j: j, maxw: scanMaxWeight(g)}, st, PlanN2(opt.N2, g.NumVertices(), j, 1, WeightSlabs(j, zmax)), opt); err != nil {
+	if err := sweep(g, &scanFamily{j: j, maxw: scanMaxWeight(g)}, st, PlanN2(opt.N2, g.NumVertices(), j, WeightSlabs(j, zmax)), opt); err != nil {
 		return nil, err
 	}
 	return st.scan.totals, nil

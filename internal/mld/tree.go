@@ -119,7 +119,7 @@ func DetectTree(g *graph.Graph, tpl *graph.Template, opt Options) (bool, error) 
 		opt.Arena = NewArena() // share slabs across this call's rounds
 	}
 	st := soloLane(k, opt)
-	if err := runLane(g, &treeFamily{d: tpl.Decompose()}, st, PlanN2(opt.N2, g.NumVertices(), k, 1, LevelSlabs(k)), opt); err != nil {
+	if err := runLane(g, &treeFamily{d: tpl.Decompose()}, st, PlanN2(opt.N2, g.NumVertices(), k, LevelSlabs(k)), opt); err != nil {
 		return false, err
 	}
 	return st.found, st.err
@@ -134,7 +134,7 @@ func treeRound(g *graph.Graph, d *graph.Decomposition, a *Assignment, opt Option
 		opt.Arena = NewArena()
 	}
 	st := assignedLane(a)
-	if err := sweep(g, &treeFamily{d: d}, st, PlanN2(opt.N2, g.NumVertices(), a.K, 1, LevelSlabs(a.K)), opt); err != nil {
+	if err := sweep(g, &treeFamily{d: d}, st, PlanN2(opt.N2, g.NumVertices(), a.K, LevelSlabs(a.K)), opt); err != nil {
 		return 0, err
 	}
 	return st.total, nil

@@ -57,10 +57,9 @@ const (
 	// the unit caveat: histograms export under a `_seconds` suffix for
 	// uniformity, but this one observes a dimensionless lane count.
 	HistServeBatchOccupancy
-	// HistServeLaneCost is observed once per batched lane: in a
-	// ranks ≤ 1 batch, whose lanes are solo sweeps run side by side, the
-	// lane's own sweep time; in a distributed batch the joint sweep's
-	// wall time divided by its occupancy (internal/serve).
+	// HistServeLaneCost is observed once per batched lane: the lane's
+	// own sweep time, since a batch's lanes are solo sweeps run side by
+	// side (internal/serve).
 	HistServeLaneCost
 	// HistServeDPTime is the wall time each flight-leading query spent
 	// executing its DP — the dp stage of its QueryTrace, excluding

@@ -145,8 +145,8 @@ func (r *QueryRequest) slabs() int {
 // at the width the engines themselves plan (mld.PlanN2). Scanstat runs
 // one sweep per size j ≤ k; this reports the size-k sweep, the
 // dominant term.
-func (r *QueryRequest) plannedPhases(vertices, lanes int) int64 {
-	return mld.PlannedPhases(r.K, mld.PlanN2(r.N2, vertices, r.K, lanes, r.slabs()))
+func (r *QueryRequest) plannedPhases(vertices int) int64 {
+	return mld.PlannedPhases(r.K, mld.PlanN2(r.N2, vertices, r.K, r.slabs()))
 }
 
 // key is the query's cache/singleflight identity: the graph's content

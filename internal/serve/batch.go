@@ -1,30 +1,24 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/midas-hpc/midas/internal/comm"
-	"github.com/midas-hpc/midas/internal/core"
-	"github.com/midas-hpc/midas/internal/mld"
 	"github.com/midas-hpc/midas/internal/obs"
-	"github.com/midas-hpc/midas/internal/partition"
 )
 
 // Admission batching: when Config.BatchWindow > 0, a worker that picks
-// up a query does not execute it immediately. It becomes the batch
-// leader: for up to one window it keeps harvesting compatible queued
-// queries (same graph, same kind, same world shape — see compatible)
-// and assembles every singleflight *leader* among them into a lane.
-// A ranks ≤ 1 batch then runs as a schedule of solo sweeps, lanes in
-// parallel; a ranks > 1 batch runs as one joint core.RunPathBatch sweep
-// (executeBatch). Results fan back out through each lane's flight, so
-// cache fills, singleflight followers, and per-query cancellation
-// behave exactly as in the single-query path; a lane whose last
-// requester leaves mid-flight stops while the other lanes run on.
+// up a ranks ≤ 1 query does not execute it immediately. It becomes the
+// batch leader: for up to one window it keeps harvesting compatible
+// queued queries (same graph, same kind — see compatible) and assembles
+// every singleflight *leader* among them into a lane. The batch then
+// runs as a schedule of solo sweeps, lanes in parallel (executeBatch);
+// distributed queries are never batched. Results fan back out through
+// each lane's flight, so cache fills, singleflight followers, and
+// per-query cancellation behave exactly as in the single-query path; a
+// lane whose last requester leaves mid-flight stops while the other
+// lanes run on.
 // docs/BATCHING.md is the full story.
 
 // laneJob is one batch lane: the job that leads its flight plus the
@@ -34,37 +28,21 @@ type laneJob struct {
 	f *flight
 }
 
-// compatible reports whether cand can share a batched DP execution
-// with lead: same graph content, same kind, and — for distributed
-// queries — the same world shape, since the batch runs on one
-// in-process world with one partition. Seeds, k, rounds, epsilon,
-// zmax, templates, N2 and Workers may all differ: each lane keeps its
-// own assignment, and the batch adopts the leader's core budget
-// (Workers; N2 too when distributed — answers are independent of
-// both). Distributed batching covers paths only; other kinds and
-// shapes fall back to solo runs.
+// compatible reports whether cand can share a batch with lead: same
+// graph content, same kind and same Ranks (so a distributed query is
+// never harvested into a batch). Seeds, k, rounds, epsilon, zmax,
+// templates, N2 and Workers may all differ: each lane runs its own solo
+// sweep, and the batch only splits the leader's Workers across them.
 func compatible(lead, cand *job) bool {
 	a, b := lead.Req, cand.Req
-	if lead.digest != cand.digest || a.Graph != b.Graph || a.Kind != b.Kind {
-		return false
-	}
-	if a.Ranks != b.Ranks {
-		return false
-	}
-	if a.Ranks > 1 {
-		if a.Kind != KindPath {
-			return false
-		}
-		if a.N1 != b.N1 || a.Scheme != b.Scheme {
-			return false
-		}
-	}
-	return true
+	return lead.digest == cand.digest && a.Graph == b.Graph && a.Kind == b.Kind && a.Ranks == b.Ranks
 }
 
 // batchable reports whether a query may lead or join a batch at all.
+// Distributed queries never do: each runs solo through execute, so the
+// cluster's lease runner sees every one of them.
 func batchable(j *job) bool {
-	return j.Req.Ranks <= 1 || j.Req.Kind == KindPath // core batches paths only
+	return j.Req.Ranks <= 1
 }
 
 // runBatched is the worker's entry point when admission batching is
@@ -168,8 +146,8 @@ func (s *Server) prepLane(j *job) (*laneJob, bool) {
 // moment the sweep ends: the occupancy-1 tail of runBatched, the
 // no-batching worker path (runJob builds the same laneJob), and — with
 // workers > 0 standing in for the request's Workers — one lane of a
-// ranks ≤ 1 batch. The override lives on a copy, so the job, its cache
-// key and its view keep the request as submitted.
+// batch. The override lives on a copy, so the job, its cache key and
+// its view keep the request as submitted.
 func (s *Server) executeLane(lj *laneJob, workers int) {
 	req := lj.j.Req
 	if workers > 0 {
@@ -179,7 +157,7 @@ func (s *Server) executeLane(lj *laneJob, workers int) {
 	}
 	start := time.Now()
 	if tr := lj.j.trace; tr != nil {
-		tr.beginDP(req.plannedPhases(lj.j.vertices, 1))
+		tr.beginDP(req.plannedPhases(lj.j.vertices))
 	}
 	s.logger.Debug("sweep started", "jobId", lj.j.ID, "kind", req.Kind, "k", req.K, "ranks", req.Ranks)
 	res, err := s.execute(lj.f.ctx, req, lj.j.trace)
@@ -199,17 +177,16 @@ func (s *Server) publish(lj *laneJob, res *Result, err error) {
 	s.flights.finish(lj.f, res, err)
 }
 
-// executeBatch runs ≥2 assembled lanes. In one process (ranks ≤ 1) a
-// batch is a schedule, not a layout: lanes share no DP state, so one
-// strided sweep over all of them only narrows every lane's phase width
-// and makes each caller wait for the slowest. Instead P = min(leader's
-// Workers, lanes) goroutines pull the lanes in admission order and run
-// each as a solo sweep on Workers/P workers (executeLane) — its own
-// planned width, progress, and cancellation on its flight context, so
-// a lane whose requesters all left stops while the others run on.
-// Ranks > 1 keeps the joint sweep, where batching saves messages. All
-// lanes are joined before returning: runBatched's inflight count, and
-// with it the drain, covers the whole batch.
+// executeBatch runs ≥2 assembled lanes. A batch is a schedule, not a
+// layout: lanes share no DP state, so one strided sweep over all of
+// them only narrows every lane's phase width and makes each caller wait
+// for the slowest. Instead P = min(leader's Workers, lanes) goroutines
+// pull the lanes in admission order and run each as a solo sweep on
+// Workers/P workers (executeLane) — its own planned width, progress,
+// and cancellation on its flight context, so a lane whose requesters
+// all left stops while the others run on. All lanes are joined before
+// returning: runBatched's inflight count, and with it the drain, covers
+// the whole batch.
 func (s *Server) executeBatch(lanes []*laneJob) {
 	s.rec.Add(obs.ServeBatches, 1)
 	s.rec.Add(obs.ServeBatchLanes, int64(len(lanes)))
@@ -221,17 +198,12 @@ func (s *Server) executeBatch(lanes []*laneJob) {
 			tr.stageDetail(StageBatchAssembled, laneDetail)
 		}
 	}
-	first := lanes[0].j.Req
-	if first.Ranks > 1 {
-		s.executeBatchDistributed(lanes)
-		return
-	}
 	feed := make(chan *laneJob, len(lanes))
 	for _, lj := range lanes {
 		feed <- lj
 	}
 	close(feed)
-	workers := max(first.Workers, 1)
+	workers := max(lanes[0].j.Req.Workers, 1)
 	p := min(workers, len(lanes))
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
@@ -246,87 +218,4 @@ func (s *Server) executeBatch(lanes []*laneJob) {
 		}()
 	}
 	wg.Wait()
-}
-
-// executeBatchDistributed runs path lanes as one joint sweep
-// (batchDistributed) and fans the per-lane results back through their
-// flights when it ends. Each lane's context is its flight's, so a dead
-// lane is masked out (LaneResult.Err = context.Canceled) while the
-// batch as a whole runs under the server's lifetime context.
-func (s *Server) executeBatchDistributed(lanes []*laneJob) {
-	first := lanes[0].j.Req
-	blanes := make([]mld.BatchLane, len(lanes))
-	for i, lj := range lanes {
-		req := lj.j.Req
-		if tr := lj.j.trace; tr != nil {
-			tr.beginDP(req.plannedPhases(lj.j.vertices, len(lanes)))
-		}
-		blanes[i] = mld.BatchLane{
-			K: req.K, Seed: req.Seed, Epsilon: req.Epsilon, Rounds: req.Rounds,
-			Ctx: lj.f.ctx,
-		}
-	}
-	start := time.Now()
-	var results []mld.LaneResult
-	entry, err := s.registry.get(first.Graph) // fails if evicted since admission
-	if err == nil {
-		results, err = s.batchDistributed(entry, first, blanes)
-	}
-	if results == nil && err == nil {
-		err = errors.New("serve: batch produced no results")
-	}
-	wall := time.Since(start).Seconds()
-	for i, lj := range lanes {
-		s.rec.Observe(obs.HistServeLaneCost, wall/float64(len(lanes)))
-		s.rec.Observe(obs.HistServeQueryLatency, wall)
-		if results == nil {
-			s.publish(lj, nil, err)
-			continue
-		}
-		lr := results[i]
-		s.publish(lj, &Result{
-			Kind: KindPath, Found: lr.Found,
-			Rounds: lr.Rounds, Phases: lr.Phases, TotalPhases: lr.TotalPhases,
-		}, lr.Err)
-	}
-}
-
-// batchDistributed runs the lanes on one in-process world via
-// core.RunPathBatch, with the graph's cached partition (answers are
-// partition-independent, so every lane matches its solo run).
-func (s *Server) batchDistributed(entry *graphEntry, first *QueryRequest, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
-	scheme := partition.Scheme(first.Scheme)
-	if scheme == "" {
-		scheme = partition.SchemeBlock
-	}
-	n1 := first.N1
-	if n1 <= 0 {
-		n1 = first.Ranks
-	}
-	part, err := entry.partitionFor(scheme, n1)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
-		N1: n1, N2: first.N2, Seed: first.Seed, Scheme: scheme,
-		Ctx: s.baseCtx, Part: part, NoTiming: true,
-	}
-	var results []mld.LaneResult
-	run := func(c *comm.Comm) error {
-		res, rerr := core.RunPathBatch(c, entry.G, cfg, core.BatchSpec{Lanes: blanes})
-		if c.Rank() == 0 {
-			results = res
-		}
-		return rerr
-	}
-	err = comm.RunLocal(first.Ranks, comm.CostModel{}, run)
-	// Unwrap the world aggregation so clients see the cause directly.
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			err = context.DeadlineExceeded
-		} else if errors.Is(err, context.Canceled) {
-			err = context.Canceled
-		}
-	}
-	return results, err
 }

@@ -8,35 +8,46 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/midas-hpc/midas/internal/graph"
 	"github.com/midas-hpc/midas/internal/mld"
+	"github.com/midas-hpc/midas/internal/obs"
 )
 
-// logSignal is a log handler that closes ch at the server's first
-// record with message msg — "batch assembled" (logged by the batch
-// leader right before it executes the lanes) or "sweep started" (logged
-// right before a lane's DP sweep) — so tests wait on the event instead
-// of polling.
-type logSignal struct {
-	msg  string
-	once *sync.Once
+// logSignal is a log handler that closes one channel per watched
+// message at the server's first record with that message — "batch
+// assembled" (logged by the batch leader right before it executes the
+// lanes), "sweep started" (logged right before a lane's DP sweep) or
+// "draining" (logged by Shutdown once admissions are refused) — so
+// tests wait on the event instead of polling.
+type logSignal map[string]*logEvent
+
+type logEvent struct {
+	once sync.Once
 	ch   chan struct{}
 }
 
-func newLogSignal(msg string) (*slog.Logger, <-chan struct{}) {
-	h := logSignal{msg: msg, once: new(sync.Once), ch: make(chan struct{})}
-	return slog.New(h), h.ch
+// newLogSignal watches msgs and returns their channels in that order.
+func newLogSignal(msgs ...string) (*slog.Logger, []<-chan struct{}) {
+	h := make(logSignal, len(msgs))
+	chs := make([]<-chan struct{}, len(msgs))
+	for i, msg := range msgs {
+		e := &logEvent{ch: make(chan struct{})}
+		h[msg] = e
+		chs[i] = e.ch
+	}
+	return slog.New(h), chs
 }
 
 func (h logSignal) Enabled(context.Context, slog.Level) bool { return true }
 func (h logSignal) WithAttrs([]slog.Attr) slog.Handler       { return h }
 func (h logSignal) WithGroup(string) slog.Handler            { return h }
 func (h logSignal) Handle(_ context.Context, r slog.Record) error {
-	if r.Message == h.msg {
-		h.once.Do(func() { close(h.ch) })
+	if e := h[r.Message]; e != nil {
+		e.once.Do(func() { close(e.ch) })
 	}
 	return nil
 }
@@ -212,11 +223,28 @@ func TestBatchAssemblyMatchesSolo(t *testing.T) {
 }
 
 // TestBatchDistributedMatchesSolo: distributed path queries (ranks=2)
-// batch through core.RunPathBatch and still match the library.
+// that arrive together under a batch window are never assembled into a
+// batch. Each runs solo through execute, so the distributed runner a
+// clustered node installs sees every one of them (here it declines, and
+// the in-process world answers), and each answer matches the library.
 func TestBatchDistributedMatchesSolo(t *testing.T) {
-	s := testServer(t, Config{Workers: 1, BatchWindow: 250 * time.Millisecond, BatchMaxLanes: 8})
-	base := "http://" + s.Addr()
+	var runs atomic.Int32
+	s := New(Config{Workers: 1, BatchWindow: 250 * time.Millisecond, BatchMaxLanes: 8})
+	s.SetDistributedRunner(func(context.Context, *QueryRequest, *obs.Recorder, *Result, *QueryTrace) (bool, error) {
+		runs.Add(1)
+		return false, nil
+	})
 	g := graph.RandomGNM(60, 180, 1)
+	s.AddGraph("g", g)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck
+	})
+	base := "http://" + s.Addr()
 
 	seeds := []uint64{20, 21, 22}
 	var wg sync.WaitGroup
@@ -239,6 +267,13 @@ func TestBatchDistributedMatchesSolo(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	if n := runs.Load(); n != int32(len(seeds)) {
+		t.Fatalf("distributed runner ran %d times for %d queries", n, len(seeds))
+	}
+	_, metrics := getBody(t, base+"/metrics")
+	if b := metricValue(t, string(metrics), "midas_serve_batches_total"); b != 0 {
+		t.Fatalf("batches counter %v for distributed queries, want 0", b)
+	}
 	for i, seed := range seeds {
 		want, err := mld.DetectPath(g, 5+i, mld.Options{Seed: seed, Rounds: 1})
 		if err != nil {
@@ -254,7 +289,7 @@ func TestBatchDistributedMatchesSolo(t *testing.T) {
 // batch cancels only that lane — it resolves to its context error — and
 // the other lane finishes with the correct answer.
 func TestBatchLaneCancelMasksLane(t *testing.T) {
-	logger, assembled := newLogSignal("batch assembled")
+	logger, sig := newLogSignal("batch assembled")
 	s := testServer(t, Config{Workers: 1, BatchWindow: 2 * time.Second, BatchMaxLanes: 2, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", graph.RandomGNM(200, 800, 6))
@@ -265,7 +300,7 @@ func TestBatchLaneCancelMasksLane(t *testing.T) {
 	// (workers unset: the lanes take turns).
 	victim := submitAsync(t, s, QueryRequest{Graph: "big", Kind: KindPath, K: 16, Seed: 30, Rounds: 1, N2: 32})
 	survivor := submitAsync(t, s, QueryRequest{Graph: "big", Kind: KindPath, K: 14, Seed: 31, Rounds: 1, N2: 32})
-	await(t, "the batch to assemble", assembled)
+	await(t, "the batch to assemble", sig[0])
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+victim.ID, nil)
 	if _, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
@@ -368,7 +403,7 @@ func TestBatchLaneWorkersStayPrivate(t *testing.T) {
 // the batch cancels all of its lanes, running or still waiting their
 // turn, and Shutdown returns only after every lane has stopped.
 func TestBatchForcedDrainCancelsEveryLane(t *testing.T) {
-	logger, assembled := newLogSignal("batch assembled")
+	logger, sig := newLogSignal("batch assembled")
 	s := New(Config{Workers: 1, BatchWindow: 2 * time.Second, BatchMaxLanes: 3, Logger: logger})
 	s.AddGraph("g", graph.RandomGNM(300, 1200, 6))
 	if err := s.Start("127.0.0.1:0"); err != nil {
@@ -380,7 +415,7 @@ func TestBatchForcedDrainCancelsEveryLane(t *testing.T) {
 			Graph: "g", Kind: KindPath, K: 18, Seed: uint64(80 + i), Rounds: 1, N2: 32, Workers: 2,
 		}))
 	}
-	await(t, "the batch to assemble", assembled)
+	await(t, "the batch to assemble", sig[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); err == nil {

@@ -94,7 +94,7 @@ func (s *Server) ExecuteLease(ctx context.Context, req *QueryRequest, w LeaseWor
 			res.Rounds += snap.Counter(obs.Rounds)
 			res.Phases += snap.Counter(obs.Phases)
 		}
-		res.TotalPhases = req.plannedPhases(entry.Vertices, 1)
+		res.TotalPhases = req.plannedPhases(entry.Vertices)
 	}
 	return res, nil
 }

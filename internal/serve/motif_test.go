@@ -199,13 +199,13 @@ func TestBatchMotif(t *testing.T) {
 // DELETE goes out on the server's "sweep started" log record rather
 // than after polling, so a faster sweep cannot outrun the cancel.
 func TestMotifCancelMidFlight(t *testing.T) {
-	logger, started := newLogSignal("sweep started")
+	logger, sig := newLogSignal("sweep started")
 	s := testServer(t, Config{Workers: 1, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", labeledGraph(300, 1200, 4, 3))
 	j := submitAsync(t, s, QueryRequest{Graph: "big", Kind: KindMotif, K: 16,
 		Motif: map[string]int{"0": 4, "1": 4}, Seed: 2, Rounds: 1, N2: 32})
-	await(t, "the sweep to start", started)
+	await(t, "the sweep to start", sig[0])
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+j.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

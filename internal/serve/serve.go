@@ -15,14 +15,15 @@
 // its 2^k iterations at the next batch boundary.
 //
 // With Config.BatchWindow > 0, a worker additionally holds each
-// batchable query for the window and sweeps the queue for compatible
-// ones (same graph digest, kind and rank layout), running them as the
-// lanes of one batch: distributed, one joint core.RunPathBatch sweep;
-// in one process, solo sweeps run side by side on the leader's workers,
-// each answered as it finishes. Singleflight and the cache compose in
-// front of batching — only flight leaders become lanes — and
-// cancellation stays per-query: a dead lane stops while its batch-mates
-// finish. Answers are byte-identical to solo execution.
+// ranks ≤ 1 query for the window and sweeps the queue for compatible
+// ones (same graph digest and kind), running them as the lanes of one
+// batch: solo sweeps side by side on the leader's workers, each
+// answered as it finishes. Distributed queries are never batched; each
+// runs solo, through the cluster's runner when one is installed.
+// Singleflight and the cache compose in front of batching — only flight
+// leaders become lanes — and cancellation stays per-query: a dead lane
+// stops while its batch-mates finish. Answers are byte-identical to
+// solo execution.
 //
 // docs/SERVING.md is the operator guide: API reference, admission,
 // caching and deadline semantics, and capacity tuning. docs/BATCHING.md
@@ -69,10 +70,10 @@ type Config struct {
 	// MaxJobs bounds the finished-job table. Default 4096.
 	MaxJobs int
 	// BatchWindow, when positive, enables admission batching: a worker
-	// picking up a query waits up to this long, harvesting compatible
-	// queued queries (same graph/kind/world shape) into one batched
-	// execution. Zero — the default — disables batching entirely; every
-	// query runs solo exactly as before. A few milliseconds is a
+	// picking up a ranks ≤ 1 query waits up to this long, harvesting
+	// compatible queued queries (same graph/kind/ranks) into one batched
+	// execution. Distributed queries always run solo. Zero — the
+	// default — disables batching entirely; every query runs solo. A few milliseconds is a
 	// sensible window (docs/BATCHING.md discusses the tradeoff).
 	BatchWindow time.Duration
 	// BatchMaxLanes caps the lanes per batched execution. Default 16,
@@ -574,7 +575,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, tr *QueryTrace)
 	snap := rec.Snapshot()
 	res.Rounds = snap.Counter(obs.Rounds)
 	res.Phases = snap.Counter(obs.Phases)
-	res.TotalPhases = req.plannedPhases(entry.Vertices, 1)
+	res.TotalPhases = req.plannedPhases(entry.Vertices)
 	return res, err
 }
 

@@ -165,8 +165,8 @@ func TestTotalPhasesFollowThePlanner(t *testing.T) {
 		q    QueryRequest
 		want int64
 	}{
-		{QueryRequest{Graph: "l", Kind: KindPath, K: k}, mld.PlannedPhases(k, mld.PlanN2(0, n, k, 1, mld.PathSlabs))},
-		{QueryRequest{Graph: "l", Kind: KindTree, Template: path9}, mld.PlannedPhases(k, mld.PlanN2(0, n, k, 1, mld.LevelSlabs(k)))},
+		{QueryRequest{Graph: "l", Kind: KindPath, K: k}, mld.PlannedPhases(k, mld.PlanN2(0, n, k, mld.PathSlabs))},
+		{QueryRequest{Graph: "l", Kind: KindTree, Template: path9}, mld.PlannedPhases(k, mld.PlanN2(0, n, k, mld.LevelSlabs(k)))},
 		{QueryRequest{Graph: "l", Kind: KindMotif, K: k, Motif: map[string]int{"0": 2}}, 2},
 		{QueryRequest{Graph: "l", Kind: KindPath, K: k, N2: 64, Seed: 1}, 8},
 	} {
@@ -260,7 +260,7 @@ func TestDeadlineAbortsSweep(t *testing.T) {
 // TestCancelMidFlight: DELETE /v1/jobs/{id} on a slow async k=18 query
 // cancels it mid-flight.
 func TestCancelMidFlight(t *testing.T) {
-	logger, started := newLogSignal("sweep started")
+	logger, sig := newLogSignal("sweep started")
 	s := testServer(t, Config{Workers: 1, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", graph.RandomGNM(300, 1200, 4))
@@ -275,7 +275,7 @@ func TestCancelMidFlight(t *testing.T) {
 	if !ok {
 		t.Fatal("admitted job is not in the job table")
 	}
-	await(t, "the sweep to start", started)
+	await(t, "the sweep to start", sig[0])
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
 	if _, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestBadRequests(t *testing.T) {
 // TestGracefulDrain: during Shutdown, in-flight work finishes, new
 // admissions get 503, and Shutdown returns cleanly within the window.
 func TestGracefulDrain(t *testing.T) {
-	logger, started := newLogSignal("sweep started")
+	logger, sig := newLogSignal("sweep started", "draining")
 	s := New(Config{Workers: 2, Logger: logger})
 	s.AddGraph("g", graph.RandomGNM(100, 400, 6))
 	if err := s.Start("127.0.0.1:0"); err != nil {
@@ -440,7 +440,7 @@ func TestGracefulDrain(t *testing.T) {
 			QueryRequest{Graph: "g", Kind: KindPath, K: 14, Seed: 8, Rounds: 1, N2: 64})
 		ch <- outcome{resp.StatusCode, decodeJob(t, body)}
 	}()
-	await(t, "the in-flight query's sweep to start", started)
+	await(t, "the in-flight query's sweep to start", sig[0])
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -448,28 +448,21 @@ func TestGracefulDrain(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	// New admissions during the drain are refused.
-	drainDeadline := time.Now().Add(5 * time.Second)
-	refused := false
-	for time.Now().Before(drainDeadline) {
-		resp, err := http.Post(base+"/v1/query", "application/json",
-			strings.NewReader(`{"graph":"g","kind":"path","k":5}`))
-		if err != nil {
-			break // listener already down: drain finished
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			refused = true
-			if ra := resp.Header.Get("Retry-After"); ra != retryAfterDraining {
-				t.Errorf("draining 503 Retry-After %q, want %q", ra, retryAfterDraining)
-			}
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	// Shutdown refuses admissions before it logs "draining", so the
+	// first admission after that record must get 503.
+	await(t, "the drain to begin", sig[1])
+	resp, err := http.Post(base+"/v1/query", "application/json",
+		strings.NewReader(`{"graph":"g","kind":"path","k":5}`))
+	if err != nil {
+		t.Fatalf("admission during the drain: %v", err)
 	}
-	if !refused {
-		t.Error("no admission was refused with 503 during the drain")
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("admission during the drain got %d, want 503", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != retryAfterDraining {
+		t.Errorf("draining 503 Retry-After %q, want %q", ra, retryAfterDraining)
 	}
 	o := <-ch
 	if o.code != http.StatusOK || o.view.Status != StatusDone {
@@ -483,7 +476,7 @@ func TestGracefulDrain(t *testing.T) {
 // TestForcedDrainCancelsWork: a drain window far shorter than the
 // running query cancels it rather than waiting.
 func TestForcedDrainCancelsWork(t *testing.T) {
-	logger, started := newLogSignal("sweep started")
+	logger, sig := newLogSignal("sweep started")
 	s := New(Config{Workers: 1, Logger: logger})
 	s.AddGraph("g", graph.RandomGNM(300, 1200, 6))
 	if err := s.Start("127.0.0.1:0"); err != nil {
@@ -496,7 +489,7 @@ func TestForcedDrainCancelsWork(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	await(t, "the sweep to start", started)
+	await(t, "the sweep to start", sig[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -266,7 +266,7 @@ func TestTraceDispositionCacheHit(t *testing.T) {
 // TestTraceDispositionSingleflight: a query identical to one already
 // executing attaches to its flight and records singleflight-joined.
 func TestTraceDispositionSingleflight(t *testing.T) {
-	logger, started := newLogSignal("sweep started")
+	logger, sig := newLogSignal("sweep started")
 	s := testServer(t, Config{Workers: 4, Logger: logger})
 	base := "http://" + s.Addr()
 	s.AddGraph("big", graph.RandomGNM(150, 600, 2))
@@ -279,7 +279,7 @@ func TestTraceDispositionSingleflight(t *testing.T) {
 	}()
 	// Wait until the leader's DP is actually running, so the follower
 	// deterministically finds an open flight (not an empty cache slot).
-	await(t, "the leader's sweep to start", started)
+	await(t, "the leader's sweep to start", sig[0])
 	resp, body := postJSONID(t, base+"/v1/query", "disp-sf-join", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follower query: %d %s", resp.StatusCode, body)
