@@ -146,6 +146,35 @@ func TestDistributedScanMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestDistributedScanRowOneExact is mld's TestScanTableRowOneExact on
+// a 2-rank world: at a seed where the only weight-2 vertex has base
+// value 0, a sieved size-1 row misses cell (1, 2); the exact rows
+// every rank reads off g do not.
+func TestDistributedScanRowOneExact(t *testing.T) {
+	g := graph.Path(3)
+	g.SetWeights([]int64{0, 2, 0})
+	seed := uint64(0)
+	for mld.NewScanAssignment(3, 1, seed, 0).U(1, 0) != 0 {
+		seed++
+	}
+	err := comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
+		got, err := RunScan(c, g, ScanConfig{
+			Config: Config{K: 3, N1: 1, N2: 2, Seed: seed, Rounds: 1, NoTiming: true},
+			ZMax:   2,
+		})
+		if err != nil {
+			return err
+		}
+		if !got[1][2] {
+			return fmt.Errorf("rank %d seed %d: cell (1, 2) infeasible, but vertex 1 weighs 2", c.Rank(), seed)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDistributedScanAgainstBruteForce(t *testing.T) {
 	g := graph.Cycle(8)
 	g.SetWeights([]int64{1, 0, 2, 1, 0, 1, 2, 0})

@@ -102,7 +102,6 @@ func (p *plan) maxWeightRoundLocal(a *mld.Assignment, zmax int64) []gf.Elem {
 		p.arena.Put(prev...)
 		p.arena.Put(cur...)
 	}()
-	one := mld.CachedMulTable(1)
 	totals := make([]gf.Elem, nz)
 	var skipped int64
 
@@ -151,9 +150,9 @@ func (p *plan) maxWeightRoundLocal(a *mld.Assignment, zmax int64) []gf.Elem {
 					for _, u := range p.g.Neighbors(v) {
 						su := int(p.slotOf[u])
 						// One coefficient covers the whole weight column.
-						t := one
+						r := gf.Elem(1)
 						if !p.cfg.NoFingerprints {
-							t = a.EdgeTable(u, v, j)
+							r = a.EdgeCoeff(u, v, j)
 						}
 						uLo, uHi := su*n2, su*n2+nb
 						hashes++
@@ -163,7 +162,7 @@ func (p *plan) maxWeightRoundLocal(a *mld.Assignment, zmax int64) []gf.Elem {
 								skipped++
 								continue
 							}
-							gf.MulSliceTable16(cur[z][iLo:iHi], src, t)
+							gf.MulSlice16(cur[z][iLo:iHi], src, r)
 							kernelElems += float64(nb)
 						}
 					}

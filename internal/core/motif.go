@@ -76,7 +76,6 @@ func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 		p.arena.Put(tab[1:]...)
 		p.arena.Put(sum)
 	}()
-	one := mld.CachedMulTable(1)
 	var total gf.Elem
 	var skipped int64
 
@@ -129,12 +128,12 @@ func (p *plan) motifRoundLocal(a *mld.Assignment, k int) (gf.Elem, error) {
 								skipped++
 								continue
 							}
-							t := one
+							r := gf.Elem(1)
 							if !p.cfg.NoFingerprints {
-								t = a.MotifTable(u, v, jj, jp)
+								r = a.MotifCoeff(u, v, jj, jp)
 							}
 							hashes++
-							gf.MulSliceTable16(acc, piece, t)
+							gf.MulSlice16(acc, piece, r)
 							kernelElems += float64(nb)
 							live = true
 						}

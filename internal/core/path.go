@@ -34,7 +34,6 @@ func (p *plan) pathRoundLocal(a *mld.Assignment) (gf.Elem, error) {
 	prev := p.arena.Grab(p.nSlots * n2)
 	cur := p.arena.Grab(p.nSlots * n2)
 	defer p.arena.Put(base, prev, cur)
-	one := mld.CachedMulTable(1)
 	var total gf.Elem
 
 	for s := uint64(0); s < steps; s++ {
@@ -69,11 +68,11 @@ func (p *plan) pathRoundLocal(a *mld.Assignment) (gf.Elem, error) {
 					}
 					for _, u := range p.g.Neighbors(v) {
 						su := int(p.slotOf[u])
-						t := one
+						r := gf.Elem(1)
 						if !p.cfg.NoFingerprints {
-							t = a.EdgeTable(u, v, j)
+							r = a.EdgeCoeff(u, v, j)
 						}
-						gf.MulSliceTable16(dst, prev[su*n2:su*n2+nb], t)
+						gf.MulSlice16(dst, prev[su*n2:su*n2+nb], r)
 					}
 					gf.HadamardInto(dst, dst, base[sv*n2:sv*n2+nb])
 				}

@@ -21,8 +21,9 @@ type ScanConfig struct {
 // RunScan executes the distributed scan-statistics evaluation
 // (Algorithm 5): it returns the table feas[j][z] (1 ≤ j ≤ cfg.K,
 // 0 ≤ z ≤ cfg.ZMax) of connected-subgraph feasibility, identical on all
-// ranks. As in the sequential version, each target size j runs in its
-// own 2^j iteration space (DESIGN.md §2).
+// ranks. As in the sequential version, each target size j ≥ 3 runs in
+// its own 2^j iteration space (DESIGN.md §2), and sizes 1 and 2 are
+// read off the vertices and edges (mld.ExactScanRows).
 func RunScan(world *comm.Comm, g *graph.Graph, cfg ScanConfig) ([][]bool, error) {
 	if err := mld.ValidateK(cfg.K); err != nil {
 		return nil, err
@@ -39,7 +40,9 @@ func RunScan(world *comm.Comm, g *graph.Graph, cfg ScanConfig) ([][]bool, error)
 	for j := 1; j <= cfg.K; j++ {
 		feas[j] = make([]bool, cfg.ZMax+1)
 	}
-	for j := 1; j <= cfg.K && j <= g.NumVertices(); j++ {
+	// Sizes 1 and 2 are exact and local: every rank holds g.
+	mld.ExactScanRows(g, feas)
+	for j := 3; j <= cfg.K && j <= g.NumVertices(); j++ {
 		sub := cfg.Config
 		sub.K = j
 		p, err := buildPlan(world, g, sub, mld.WeightSlabs(j, cfg.ZMax))

@@ -74,7 +74,6 @@ func (p *plan) treeRoundLocal(d *graph.Decomposition, a *mld.Assignment) (gf.Ele
 		}
 	}
 	defer p.arena.Put(base)
-	one := mld.CachedMulTable(1)
 	acc := make([]gf.Elem, n2)
 	var total gf.Elem
 
@@ -114,11 +113,11 @@ func (p *plan) treeRoundLocal(d *graph.Decomposition, a *mld.Assignment) (gf.Ele
 					}
 					for _, u := range p.g.Neighbors(v) {
 						su := int(p.slotOf[u])
-						t := one
+						r := gf.Elem(1)
 						if !p.cfg.NoFingerprints {
-							t = a.EdgeTable(u, v, j)
+							r = a.EdgeCoeff(u, v, j)
 						}
-						gf.MulSliceTable16(av, right[su*n2:su*n2+nb], t)
+						gf.MulSlice16(av, right[su*n2:su*n2+nb], r)
 					}
 					gf.HadamardInto(dstAll[sv*n2:sv*n2+nb], left[sv*n2:sv*n2+nb], av)
 				}

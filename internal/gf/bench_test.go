@@ -58,16 +58,24 @@ func benchSlice(n int) (a, b, dst []Elem) {
 	return
 }
 
+// BenchmarkMulSlice16 times the coefficient-store axpy once per
+// reachable dispatch path (portable, asm = AVX2 nibble tables, gfni =
+// affine), with c's form already in the store as in a steady-state DP.
 func BenchmarkMulSlice16(b *testing.B) {
 	const n = 4096
 	src, _, dst := benchSlice(n)
 	c := NonZero(42)
-	b.SetBytes(n * 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulSlice16(dst, src, c)
-	}
-	sink16 = dst[0]
+	forEachPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			MulSlice16(dst, src, c) // build c's form outside the timer
+			b.SetBytes(n * 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulSlice16(dst, src, c)
+			}
+			sink16 = dst[0]
+		})
+	})
 }
 
 func BenchmarkHadamardInto(b *testing.B) {
@@ -130,8 +138,8 @@ func BenchmarkAnyNonZero(b *testing.B) {
 }
 
 func BenchmarkMulSliceTable16(b *testing.B) {
-	// The steady-state DP shape: the coefficient table is prebuilt (the
-	// mld coefficient cache hits) so only the axpy itself is measured.
+	// A prebuilt table, so only the nibble-table axpy itself is
+	// measured: the store-free twin of BenchmarkMulSlice16/asm.
 	const n = 4096
 	src, _, dst := benchSlice(n)
 	t := NewMulTable(NonZero(42))

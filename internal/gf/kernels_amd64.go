@@ -5,9 +5,10 @@ package gf
 // AVX2 dispatch for the nibble-split axpy kernels. haveAsm is resolved
 // once at init from CPUID (AVX2 plus OS-enabled YMM state); when it is
 // false — pre-Haswell hardware, or YMM state disabled by the OS — the
-// portable byte-fused path in kernels.go takes over. haveGFNI adds the
-// GF2P8MULB / VGF2P8AFFINEQB Hadamard kernels on top of AVX2; without
-// it the Hadamard kernels keep the scalar log/exp loop. Tests flip both
+// portable nibble-table path in kernels.go takes over. haveGFNI adds
+// the VGF2P8AFFINEQB axpy and the GF2P8MULB / VGF2P8AFFINEQB Hadamard
+// kernels on top of AVX2; without it the axpy keeps the nibble kernel
+// and the Hadamard kernels the scalar log/exp loop. Tests flip both
 // to pin every reachable path against the scalar reference.
 var (
 	haveAsm  = detectAVX2()
@@ -63,6 +64,13 @@ func axpyLUT8(dst, src []uint8, lut *[32]byte, c uint8) {
 		mulSliceScalar8(dst[n:], src[n:], c)
 	}
 }
+
+// axpyAffineGFNI computes dst[i] ^= c·src[i] over GF(2^16) for n
+// elements (n > 0, n % 16 == 0) using c's affine form m from
+// affineMulMatrix.
+//
+//go:noescape
+func axpyAffineGFNI(dst, src *Elem, n int, m *[4]uint64)
 
 // axpyNibbleAVX2 computes dst[i] ^= c·src[i] over GF(2^16) for n
 // elements (n > 0, n % 16 == 0) using the packed shuffle LUT of

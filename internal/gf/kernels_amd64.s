@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 nibble-split GF axpy kernels and GFNI Hadamard kernels. See
-// kernels.go for the table construction, tower.go for the GFNI
-// matrices and kernels_amd64.go for dispatch.
+// AVX2 nibble-split GF axpy kernels, the GFNI affine axpy and the GFNI
+// Hadamard kernels. See kernels.go for the table construction, tower.go
+// for the GFNI matrices and kernels_amd64.go for dispatch.
 
 // 0x000F in every 16-bit lane: extracts one nibble per element.
 DATA nibMask16<>+0(SB)/8, $0x000F000F000F000F
@@ -121,7 +121,7 @@ loop8:
 	VZEROUPPER
 	RET
 
-// GFNI Hadamard kernels. tower.go derives the matrices in ·gfniMat
+// GFNI kernels. tower.go derives the matrices in ·gfniMat
 // (field offsets: toT1 0, toT2 32, back1 64, back2 96, back3 128,
 // lam 160, to8 192, from8 224) and explains the tower field T.
 // "swap" below is VPSHUFD $0x4E, which exchanges the two qwords of
@@ -200,6 +200,56 @@ GLOBL gfniJoin<>(SB), RODATA|NOPTR, $32
 	ADDQ $32, DI; \
 	SUBQ $16, CX; \
 	JNZ  label
+
+// func axpyAffineGFNI(dst, src *Elem, n int, m *[4]uint64)
+//
+// dst[i] ^= c·src[i] over GF(2^16); n > 0, n % 16 == 0. m = [M00, M11,
+// M10, M01] is the split form of x ↦ c·x (affineMulMatrix); broadcast
+// to both lanes it is exactly the Y12/Y13 pair TO_TOWER applies.
+TEXT ·axpyAffineGFNI(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ m+24(FP), BX
+	VMOVDQU gfniSplit<>(SB), Y15
+	VMOVDQU gfniJoin<>(SB), Y14
+	VBROADCASTI128 0(BX), Y12   // [M00 | M11]
+	VBROADCASTI128 16(BX), Y13  // [M10 | M01]
+
+	TESTQ $16, CX               // odd block count: one block first
+	JZ    affPairs
+	VMOVDQU (SI), Y0
+	VPSHUFB Y15, Y0, Y0
+	TO_TOWER(Y0, Y1)
+	VPSHUFB Y14, Y0, Y0
+	VPXOR   (DI), Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $16, CX
+	JZ   affDone
+
+affPairs:
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y2
+	VPSHUFB Y15, Y0, Y0
+	VPSHUFB Y15, Y2, Y2
+	TO_TOWER(Y0, Y1)
+	TO_TOWER(Y2, Y3)
+	VPSHUFB Y14, Y0, Y0
+	VPSHUFB Y14, Y2, Y2
+	VPXOR   (DI), Y0, Y0
+	VPXOR   32(DI), Y2, Y2
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y2, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $32, CX
+	JNZ  affPairs
+
+affDone:
+	VZEROUPPER
+	RET
 
 // func hadamardGFNI(dst, a, b *Elem, n int)
 //

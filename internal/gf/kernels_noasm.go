@@ -2,7 +2,7 @@
 
 package gf
 
-// No SIMD kernels on this architecture: the byte-fused portable path
+// No SIMD kernels on this architecture: the portable nibble-table path
 // and the scalar Hadamard loops in kernels.go are always active.
 // haveAsm and haveGFNI are vars (not consts) so the dispatch code reads
 // identically on every architecture.
@@ -14,6 +14,10 @@ func axpyLUT16(dst, src []Elem, lut *[128]byte, c Elem) {
 
 func axpyLUT8(dst, src []uint8, lut *[32]byte, c uint8) {
 	panic("gf: SIMD kernel unavailable on this architecture")
+}
+
+func axpyAffineGFNI(dst, src *Elem, n int, m *[4]uint64) {
+	panic("gf: GFNI kernel unavailable on this architecture")
 }
 
 func hadamardGFNI(dst, a, b *Elem, n int) {

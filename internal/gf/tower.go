@@ -114,19 +114,58 @@ func invertLinear(img []uint16) []uint16 {
 }
 
 // affineMatrix returns the VGF2P8AFFINEQB qword of the GF(2)-linear
-// byte map f: byte 7−i of the qword selects the input bits whose
-// parity is output bit i.
+// byte map f.
 func affineMatrix(f func(uint8) uint8) uint64 {
+	var cols [8]uint8
+	for j := range cols {
+		cols[j] = f(1 << uint(j))
+	}
+	return affineQword(&cols)
+}
+
+// affineQword is affineMatrix of the map with f(1<<j) = cols[j]: byte
+// 7−i of the qword selects the input bits whose parity is output bit i.
+func affineQword(cols *[8]uint8) uint64 {
 	var m uint64
-	for j := 0; j < 8; j++ {
-		col := f(1 << uint(j))
+	for j, col := range cols {
 		for i := 0; i < 8; i++ {
-			if col>>uint(i)&1 != 0 {
-				m |= 1 << uint(8*(7-i)+j)
-			}
+			m |= uint64(col>>uint(i)&1) << uint(8*(7-i)+j)
 		}
 	}
 	return m
+}
+
+// splitMatrix returns the GF(2)-linear 16-bit map f with f(2^b) =
+// img[b] as the four VGF2P8AFFINEQB qwords [M00, M11, M10, M01] that
+// act on split elements (qword 0 of a lane the low bytes, qword 1 the
+// high bytes), where Mij maps input byte j to output byte i:
+// f(x) = aff(x, [M00 | M11]) ⊕ swap(aff(x, [M10 | M01])).
+func splitMatrix(img []uint16) [4]uint64 {
+	blk := func(in, out uint) uint64 {
+		var cols [8]uint8
+		for j := range cols {
+			cols[j] = uint8(img[8*in+uint(j)] >> (8 * out))
+		}
+		return affineQword(&cols)
+	}
+	return [4]uint64{blk(0, 0), blk(1, 1), blk(0, 1), blk(1, 0)}
+}
+
+// affineMulMatrix builds m, the 32-byte form of x ↦ c·x that
+// axpyAffineGFNI broadcasts into both 128-bit lanes: multiplication by
+// a fixed c is GF(2)-linear, so it is one splitMatrix of the images
+// c·x^b, taken by doubling modulo Poly16 rather than from the log/exp
+// tables a first use would miss in.
+func affineMulMatrix(m *[4]uint64, c Elem) {
+	var img [16]uint16
+	v := uint32(c)
+	for b := range img {
+		img[b] = uint16(v)
+		if v <<= 1; v&(1<<16) != 0 {
+			v ^= Poly16
+		}
+	}
+	*m = splitMatrix(img[:])
 }
 
 // lanes repeats the qword pair [q0 | q1] across both 128-bit lanes.
@@ -191,7 +230,6 @@ func aesRoots() []uint16 {
 func buildGFNIMatrices() {
 	inv := towerBasis()
 	phi := invertLinear(inv)
-	fwd := func(v uint16) uint16 { return applyLinear(phi, v) }
 	back := func(v uint16) uint16 { return applyLinear(inv, v) }
 	// block(f, in, out) is the byte map from input byte in to output
 	// byte out of the 16-bit map f (byte 0 low, byte 1 high).
@@ -199,9 +237,8 @@ func buildGFNIMatrices() {
 		return func(b uint8) uint8 { return uint8(f(uint16(b)<<(8*in)) >> (8 * out)) }
 	}
 	m := &gfniMat
-	// φ's blocks: Mij maps input byte j to output byte i.
-	m.toT1 = lanes(affineMatrix(block(fwd, 0, 0)), affineMatrix(block(fwd, 1, 1)))
-	m.toT2 = lanes(affineMatrix(block(fwd, 0, 1)), affineMatrix(block(fwd, 1, 0)))
+	s := splitMatrix(phi) // φ's blocks
+	m.toT1, m.toT2 = lanes(s[0], s[1]), lanes(s[2], s[3])
 	// φ⁻¹'s blocks Nij, and the folded back matrices:
 	// out_lo = N00·lo ⊕ N01·hi = (N00⊕N01)p0 ⊕ N00·λ·p1 ⊕ N01·p2,
 	// out_hi = N10·lo ⊕ N11·hi = (N10⊕N11)p0 ⊕ N10·λ·p1 ⊕ N11·p2.

@@ -99,7 +99,6 @@ func maxWeightRound(g *graph.Graph, k int, zmax int64, a *Assignment, opt Option
 		opt.Arena.Put(prev...)
 		opt.Arena.Put(cur...)
 	}()
-	one := CachedMulTable(1)
 	totals := make([]gf.Elem, nz)
 	var skipped int64
 	var maxwPrefix int64 // max achievable weight after j vertices
@@ -146,10 +145,10 @@ func maxWeightRound(g *graph.Graph, k int, zmax int64, a *Assignment, opt Option
 				iLo, iHi := int(i)*n2, int(i)*n2+nb
 				for _, u := range g.Neighbors(i) {
 					// One coefficient covers the whole weight column:
-					// build (or cache-hit) its table once per (u,i).
-					t := one
+					// hash it once per (u,i).
+					r := gf.Elem(1)
 					if !opt.NoFingerprints {
-						t = a.EdgeTable(u, i, j)
+						r = a.EdgeCoeff(u, i, j)
 					}
 					uLo, uHi := int(u)*n2, int(u)*n2+nb
 					for z := wi; z <= zhi; z++ {
@@ -158,7 +157,7 @@ func maxWeightRound(g *graph.Graph, k int, zmax int64, a *Assignment, opt Option
 							skipped++
 							continue
 						}
-						gf.MulSliceTable16(cur[z][iLo:iHi], src, t)
+						gf.MulSlice16(cur[z][iLo:iHi], src, r)
 					}
 				}
 				for z := wi; z <= zhi; z++ {

@@ -105,7 +105,6 @@ func maxWeightTreeRound(g *graph.Graph, d *graph.Decomposition, zmax int64, a *A
 			}
 		}
 	}()
-	one := CachedMulTable(1)
 	acc := make([]gf.Elem, n2)
 	totals := make([]gf.Elem, nz)
 	var skipped int64
@@ -145,11 +144,11 @@ func maxWeightTreeRound(g *graph.Graph, d *graph.Decomposition, zmax int64, a *A
 							skipped++
 							continue
 						}
-						t := one
+						r := gf.Elem(1)
 						if !opt.NoFingerprints {
-							t = a.EdgeTable(u, i, j)
+							r = a.EdgeCoeff(u, i, j)
 						}
-						gf.MulSliceTable16(av, src, t)
+						gf.MulSlice16(av, src, r)
 						nonzero = true
 					}
 					if !nonzero {

@@ -28,7 +28,11 @@
 // two orientations of an undirected path cancel identically (see
 // DESIGN.md §2; TestNaiveCancellation demonstrates the failure). Hashing
 // makes the coefficients computable on any rank of the distributed
-// implementation with no communication.
+// implementation with no communication. The GF(2^16) loops pass each
+// coefficient to gf.MulSlice16, which keeps every coefficient's kernel
+// form in one process-wide store inside gf (affine matrices where the
+// CPU has GFNI, nibble tables elsewhere), built on first use; under
+// Options.NoFingerprints they pass 1.
 //
 // # Iteration batching
 //

@@ -185,7 +185,6 @@ func (f *motifFamily) Transfer(e *laneRun, step int) {
 	opt.obsSpan(obs.LevelName, jj, "level")
 	opt.obsLevel(levelElems(g) * int64(nb))
 	dst := f.p[jj]
-	one := CachedMulTable(1)
 	opt.parallelVertices(g, func(lo, hi int32) {
 		av := make([]gf.Elem, nb) // per-worker neighbor sum
 		var sk int64
@@ -206,11 +205,11 @@ func (f *motifFamily) Transfer(e *laneRun, step int) {
 						sk++
 						continue
 					}
-					t := one
+					r := gf.Elem(1)
 					if !opt.NoFingerprints {
-						t = st.a.MotifTable(u, i, jj, jp)
+						r = st.a.MotifCoeff(u, i, jj, jp)
 					}
-					gf.MulSliceTable16(av, piece, t)
+					gf.MulSlice16(av, piece, r)
 					live = true
 				}
 				if live {

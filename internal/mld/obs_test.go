@@ -79,8 +79,8 @@ func TestDetectTreeAndScanRecordObs(t *testing.T) {
 	if _, err := ScanTable(g, 3, 0, Options{Seed: 1, Rounds: 1, Obs: rec2}); err != nil {
 		t.Fatal(err)
 	}
-	if rec2.Get(obs.Rounds) != 3 { // one per subgraph size j = 1..3
-		t.Fatalf("scan Rounds = %d, want 3", rec2.Get(obs.Rounds))
+	if rec2.Get(obs.Rounds) != 1 { // one per sieved size: j = 3 (sizes 1, 2 are exact)
+		t.Fatalf("scan Rounds = %d, want 1", rec2.Get(obs.Rounds))
 	}
 	if rec2.Depth() != 0 {
 		t.Fatalf("scan left spans open: depth %d", rec2.Depth())

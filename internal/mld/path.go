@@ -60,7 +60,6 @@ func (f *pathFamily) Transfers(e *laneRun) int { return e.st.K - 1 }
 func (f *pathFamily) Transfer(e *laneRun, step int) {
 	j := step + 1
 	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
-	one := CachedMulTable(1)
 	opt.obsSpan(obs.LevelName, j, "level")
 	opt.obsLevel(levelElems(g) * int64(nb))
 	opt.parallelVertices(g, func(lo, hi int32) {
@@ -69,12 +68,12 @@ func (f *pathFamily) Transfer(e *laneRun, step int) {
 			dst := f.cur[row : row+nb]
 			clear(dst)
 			for _, u := range g.Neighbors(i) {
-				t := one
+				r := gf.Elem(1)
 				if !opt.NoFingerprints {
-					t = st.a.EdgeTable(u, i, j)
+					r = st.a.EdgeCoeff(u, i, j)
 				}
 				urow := int(u) * nb
-				gf.MulSliceTable16(dst, f.prev[urow:urow+nb], t)
+				gf.MulSlice16(dst, f.prev[urow:urow+nb], r)
 			}
 			// P(i,j) = x_i · Σ_u r·P(u,j-1)
 			gf.HadamardInto(dst, dst, f.base[row:row+nb])

@@ -1,6 +1,8 @@
 package mld
 
 import (
+	"sync/atomic"
+
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
 	"github.com/midas-hpc/midas/internal/obs"
@@ -12,6 +14,24 @@ import (
 // memory traffic at the price of a per-round Schwartz–Zippel failure of
 // ~2k/2^8 instead of ~2k/2^16, i.e. a couple of amplification rounds at
 // ε = 0.05. VariantGF8 exists to quantify that trade (DESIGN.md §6.3).
+
+// coeffTables8 caches the GF(2^8) multiplication tables by
+// coefficient. The field has 256 constants, so the tables stay behind
+// pointers: they all fit in L1/L2 and the fetch is not a miss worth
+// flattening (GF(2^16) keeps its per-coefficient forms in gf's flat
+// store behind MulSlice16).
+var coeffTables8 [1 << 8]atomic.Pointer[gf.MulTable8]
+
+// CachedMulTable8 returns the process-wide GF(2^8) multiplication table
+// for c, building and publishing it on first use.
+func CachedMulTable8(c uint8) *gf.MulTable8 {
+	if t := coeffTables8[c].Load(); t != nil {
+		return t
+	}
+	t := gf.NewMulTable8(c)
+	coeffTables8[c].Store(t)
+	return t
+}
 
 // assignment8 mirrors Assignment over GF(2^8).
 type assignment8 struct {

@@ -166,8 +166,9 @@ var sweepSink gf.Elem
 // any one assignment's edge walk, so first-use order cannot flatter a
 // sweep.
 func buildAllTablesScrambled() {
+	src, dst := make([]gf.Elem, 16), make([]gf.Elem, 16)
 	for i := 0; i < 1<<16; i++ {
-		CachedMulTable(gf.Elem(i * 40503))
+		gf.MulSlice16(dst, src, gf.Elem(i*40503))
 	}
 }
 

@@ -178,7 +178,9 @@ func (f *scanFamily) Finalize(e *laneRun) {
 // The GF evaluation detects terms whose χ-support equals the number of
 // colors, so each target size j runs with its own j-color iteration
 // space of 2^j points; the total work Σ_j 2^j·poly ≤ 2^(k+1)·poly
-// matches Lemma 3's O(2^k ...) bound (DESIGN.md §2).
+// matches Lemma 3's O(2^k ...) bound (DESIGN.md §2). Sizes 1 and 2 are
+// not sieved: ExactScanRows reads them off the vertices and edges, so
+// their entries carry no error.
 //
 // Vertex weights must be non-negative.
 func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error) {
@@ -200,11 +202,12 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error)
 	if opt.Arena == nil {
 		opt.Arena = NewArena() // share slabs across sizes and rounds
 	}
+	ExactScanRows(g, feas)
 	maxw := scanMaxWeight(g)
 	st := soloLane(k, opt)
 	st.ZMax = zmax
 	st.scan = &scanExt{feas: feas, nz: int(zmax) + 1}
-	for j := 1; j <= k && j <= g.NumVertices(); j++ {
+	for j := 3; j <= k && j <= g.NumVertices(); j++ {
 		// Each size is its own engine pass: a 2^j iteration space with a
 		// j-derived round budget, reusing the lane (and its table) across
 		// passes.
@@ -232,6 +235,14 @@ func CellFeasible(g *graph.Graph, j int, z int64, opt Options) (bool, error) {
 	if j > g.NumVertices() {
 		return false, nil
 	}
+	if j <= 2 {
+		feas := make([][]bool, j+1)
+		for jj := 1; jj <= j; jj++ {
+			feas[jj] = make([]bool, z+1)
+		}
+		ExactScanRows(g, feas)
+		return feas[j][z], nil
+	}
 	if opt.Arena == nil {
 		opt.Arena = NewArena()
 	}
@@ -247,6 +258,29 @@ func CellFeasible(g *graph.Graph, j int, z int64, opt Options) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// ExactScanRows fills rows 1 and 2 of the feasibility table feas
+// (feas[j][z] for 0 ≤ z < len(feas[j]); row 2 only if feas has one)
+// exactly, in O(n + m): a connected subgraph on one vertex is a vertex,
+// and one on two vertices is an edge. The sieve would find these cells
+// only with the one-sided error of every other cell, which buys
+// nothing when the answer is this cheap.
+func ExactScanRows(g *graph.Graph, feas [][]bool) {
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		wv := g.Weight(v)
+		if wv < int64(len(feas[1])) {
+			feas[1][wv] = true
+		}
+		if len(feas) <= 2 {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if w := wv + g.Weight(u); u > v && w < int64(len(feas[2])) {
+				feas[2][w] = true
+			}
+		}
+	}
 }
 
 // scanRound evaluates the scan polynomial for subgraph size exactly j

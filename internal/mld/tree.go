@@ -72,7 +72,6 @@ func (f *treeFamily) Transfer(e *laneRun, step int) {
 		return
 	}
 	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
-	one := CachedMulTable(1)
 	opt.obsSpan(obs.LevelName, j, "level")
 	opt.obsLevel(levelElems(g) * int64(nb))
 	left, right, dst := f.vals[nd.Left], f.vals[nd.Right], f.vals[j]
@@ -81,14 +80,14 @@ func (f *treeFamily) Transfer(e *laneRun, step int) {
 		for i := lo; i < hi; i++ {
 			clear(av)
 			for _, u := range g.Neighbors(i) {
-				t := one
+				r := gf.Elem(1)
 				if !opt.NoFingerprints {
 					// level key: the decomposition node index,
 					// unique per subtree shape.
-					t = st.a.EdgeTable(u, i, j)
+					r = st.a.EdgeCoeff(u, i, j)
 				}
 				urow := int(u) * nb
-				gf.MulSliceTable16(av, right[urow:urow+nb], t)
+				gf.MulSlice16(av, right[urow:urow+nb], r)
 			}
 			// P(i, H') = P(i, H'_1) · Σ_u r·P(u, H'_2)
 			row := int(i) * nb

@@ -195,6 +195,79 @@ func TestScanTableUnweightedCountsSizes(t *testing.T) {
 	}
 }
 
+// zeroBaseSeed returns the first seed whose round-0 size-1 scan
+// assignment gives vertex v the base value u[v][0] = 0: the size-1
+// sieve's total at weight w(v) is then the sum of u[·][0] over the
+// other weight-w(v) vertices.
+func zeroBaseSeed(t *testing.T, n int, v int32) uint64 {
+	t.Helper()
+	for seed := uint64(0); seed < 1<<24; seed++ {
+		if NewScanAssignment(n, 1, seed, 0).U(v, 0) == 0 {
+			return seed
+		}
+	}
+	t.Fatal("no seed zeroes the base value")
+	return 0
+}
+
+// TestScanTableRowOneExact pins the size-1 false negative the sieve
+// allows: at a seed where the only weight-2 vertex has base value 0, a
+// one-round size-1 sieve totals 0 at weight 2 and reads cell (1, 2) as
+// infeasible. Rows 1 and 2 are read off the graph instead.
+func TestScanTableRowOneExact(t *testing.T) {
+	g := graph.Path(3)
+	g.SetWeights([]int64{0, 2, 0})
+	seed := zeroBaseSeed(t, 3, 1)
+	got, err := ScanTable(g, 3, 2, Options{Seed: seed, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got[1][2] {
+		t.Fatalf("seed %d: cell (1, 2) infeasible, but vertex 1 weighs 2", seed)
+	}
+	if ok, err := CellFeasible(g, 1, 2, Options{Seed: seed, Rounds: 1}); err != nil || !ok {
+		t.Fatalf("seed %d: CellFeasible(1, 2) = %v, %v; want true", seed, ok, err)
+	}
+}
+
+// TestScanRowsOneTwoMatchBruteForce compares rows 1 and 2 of ScanTable,
+// and CellFeasible on every cell of them, with enumeration on small
+// random weighted graphs, isolated vertices and single-vertex graphs
+// included. One round, so a sieved row would miss at rate ≈ 2^-16 per
+// cell; exact rows never may.
+func TestScanRowsOneTwoMatchBruteForce(t *testing.T) {
+	r := rng.New(57)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(8)
+		g := graph.RandomGNM(n, r.Intn(n*(n-1)/2+1), r.Uint64())
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = int64(r.Intn(5))
+		}
+		g.SetWeights(w)
+		const zmax = 6
+		k := min(2, n)
+		want := BruteScanTable(g, k, zmax)
+		opt := Options{Seed: r.Uint64(), Rounds: 1}
+		got, err := ScanTable(g, k, zmax, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j <= k; j++ {
+			for z := int64(0); z <= zmax; z++ {
+				cell, err := CellFeasible(g, j, z, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[j][z] != want[j][z] || cell != want[j][z] {
+					t.Fatalf("trial %d (n=%d m=%d): cell (%d,%d) table %v cell %v brute %v",
+						trial, n, g.NumEdges(), j, z, got[j][z], cell, want[j][z])
+				}
+			}
+		}
+	}
+}
+
 // --- extraction ---
 
 func TestExtractPathValid(t *testing.T) {

@@ -383,7 +383,8 @@ func (sp *scanProgram) Compute(ctx *Context[scanMsg], id int32, st *scanState, m
 
 // ScanTable computes the scan-statistics feasibility table with the
 // vertex-centric engine; results agree exactly with mld.ScanTable for
-// the same seed and rounds.
+// the same seed and rounds (sizes 1 and 2 come from mld.ExactScanRows
+// in both).
 func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, Stats, error) {
 	var stats Stats
 	if err := mld.ValidateK(k); err != nil {
@@ -398,7 +399,8 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, Stats,
 		workers = 1
 	}
 	mopt := opt.mld()
-	for j := 1; j <= k && j <= g.NumVertices(); j++ {
+	mld.ExactScanRows(g, feas)
+	for j := 3; j <= k && j <= g.NumVertices(); j++ {
 		n2 := opt.N2
 		if n2 <= 0 {
 			n2 = 64
