@@ -41,9 +41,10 @@ race:
 # A short burst of each differential fuzzer: random labeled graphs and
 # constraints, constrained-motif detection vs. brute-force enumeration;
 # the GF axpy kernels (coefficient store and prebuilt tables) and the
-# GF Hadamard kernels vs. Mul on every reachable dispatch path (-v
-# logs which paths this machine reaches). -fuzz takes one target per
-# run, hence one line each.
+# GF Hadamard kernels, the scan join's MulHadamardAccumPeriodic
+# included, vs. Mul on every reachable dispatch path (-v logs which
+# paths this machine reaches). -fuzz takes one target per run, hence
+# one line each.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMotifVsBruteForce -fuzztime $(FUZZTIME) ./internal/mld
@@ -59,7 +60,8 @@ doc-links:
 
 # Microbenchmarks of the hot kernels (GF(2^w) multiplies, the
 # GF(2^16) axpy once per dispatch path, DP inner loop, the sweep
-# at the pre-planner / planned / single-phase widths,
+# at the pre-planner / planned / single-phase widths, the scan table
+# at the kinds-wide shape at one and two workers,
 # a 12-query burst as back-to-back solo calls / lane-parallel solo
 # sweeps), repeated for benchstat-friendly output.
 bench:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/midas-hpc/midas/internal/comm"
@@ -105,41 +106,47 @@ func TestDistributedTreeMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestDistributedScanMatchesSequential checks that core's per-stratum
+// scan slabs and mld's vertex-major ones give the same full table: 20
+// seeded graphs with weights 0–2 × k 3…5 × zmax {4, 8} × N2 {4, 8, 16},
+// on one rank, on two ranks splitting the graph (N1 = 1, halo
+// exchange) or the phases (N1 = 2), and on four ranks in two or four
+// phase groups.
 func TestDistributedScanMatchesSequential(t *testing.T) {
-	g := graph.RandomGNM(18, 40, 9)
-	w := make([]int64, 18)
-	r := rng.New(5)
-	for i := range w {
-		w[i] = int64(r.Intn(3))
-	}
-	g.SetWeights(w)
-	const k, zmax = 3, 6
-	want, err := mld.ScanTable(g, k, zmax, mld.Options{Seed: 77, Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ n, n1, n2 int }{{1, 1, 1}, {2, 2, 2}, {4, 2, 4}, {4, 4, 1}} {
-		var got [][]bool
-		err := comm.RunLocal(tc.n, comm.CostModel{}, func(c *comm.Comm) error {
-			tab, err := RunScan(c, g, ScanConfig{
-				Config: Config{K: k, N1: tc.n1, N2: tc.n2, Seed: 77, Rounds: 1, NoTiming: true},
-				ZMax:   zmax,
-			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				got = tab
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	for seed := uint64(0); seed < 20; seed++ {
+		g := graph.RandomGNM(18, 40, seed)
+		w := make([]int64, g.NumVertices())
+		r := rng.New(seed + 5)
+		for i := range w {
+			w[i] = int64(r.Intn(3))
 		}
-		for j := 1; j <= k; j++ {
-			for z := 0; z <= zmax; z++ {
-				if got[j][z] != want[j][z] {
-					t.Fatalf("N=%d N1=%d: cell (%d,%d) distributed %v sequential %v", tc.n, tc.n1, j, z, got[j][z], want[j][z])
+		g.SetWeights(w)
+		for k := 3; k <= 5; k++ {
+			for _, zmax := range []int64{4, 8} {
+				want, err := mld.ScanTable(g, k, zmax, mld.Options{Seed: 77 + seed, Rounds: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n2 := range []int{4, 8, 16} {
+					for _, tc := range []struct{ n, n1 int }{{1, 1}, {2, 1}, {2, 2}, {4, 2}, {4, 4}} {
+						var got [][]bool
+						err := comm.RunLocal(tc.n, comm.CostModel{}, func(c *comm.Comm) error {
+							tab, err := RunScan(c, g, ScanConfig{
+								Config: Config{K: k, N1: tc.n1, N2: n2, Seed: 77 + seed, Rounds: 1, NoTiming: true},
+								ZMax:   zmax,
+							})
+							if c.Rank() == 0 {
+								got = tab
+							}
+							return err
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d k=%d zmax=%d N2=%d N=%d N1=%d: distributed %v sequential %v", seed, k, zmax, n2, tc.n, tc.n1, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -424,6 +424,35 @@ func MulHadamardAccumScaled(dst, a, b []Elem, c Elem) {
 	}
 }
 
+// MulHadamardAccumPeriodic computes dst[t] ^= a[t mod len(a)]·b[t] over
+// GF(2^16): the product of b with a repeated to its length. It is the
+// scan join's kernel, one local weight stratum of nb elements against
+// a run of neighbour-sum strata (internal/mld/scanstat.go). dst and b
+// must have equal length, a must be nonempty unless they are empty,
+// and dst may alias b but not a. With GFNI, a period that divides 16
+// is tiled into one 16-element block whose basis is changed once and
+// b streams through it. Otherwise each period runs MulHadamardAccum:
+// its GFNI kernel over a period's whole blocks, its scalar loop over
+// the rest, which is all of a period shorter than 16.
+func MulHadamardAccumPeriodic(dst, a, b []Elem) {
+	if len(dst) != len(b) || len(a) == 0 && len(b) > 0 {
+		panic("gf: MulHadamardAccumPeriodic length mismatch")
+	}
+	p := len(a)
+	if n := len(b) &^ 15; haveGFNI && n > 0 && 16%p == 0 {
+		var blk [16]Elem
+		for l := copy(blk[:], a); l < 16; l *= 2 { // p divides 16: doubling tiles it
+			copy(blk[l:], blk[:l])
+		}
+		hadamardAccumTiledGFNI(&dst[0], &blk[0], &b[0], n)
+		dst, b = dst[n:], b[n:] // n is a multiple of p: the tail starts a period
+	}
+	for off := 0; off < len(b); off += p {
+		end := min(off+p, len(b))
+		MulHadamardAccum(dst[off:end], a[:end-off], b[off:end])
+	}
+}
+
 // HadamardInto8 computes dst[i] = a[i]·b[i] over GF(2^8); with GFNI,
 // blocks of 32 change basis into GF(2^8)/0x11B and back (tower.go).
 func HadamardInto8(dst, a, b []uint8) {

@@ -96,6 +96,12 @@ func hadamardGFNI(dst, a, b *Elem, n int)
 //go:noescape
 func hadamardAccumGFNI(dst, a, b *Elem, n int)
 
+// hadamardAccumTiledGFNI is hadamardAccumGFNI against one 16-element
+// block a repeated: dst[i] ^= a[i mod 16]·b[i].
+//
+//go:noescape
+func hadamardAccumTiledGFNI(dst, a, b *Elem, n int)
+
 // hadamardAccumScaledGFNI is hadamardGFNI with dst[i] ^= c·a[i]·b[i].
 //
 //go:noescape

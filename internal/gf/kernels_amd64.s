@@ -282,6 +282,33 @@ accLoop:
 	VZEROUPPER
 	RET
 
+// func hadamardAccumTiledGFNI(dst, a, b *Elem, n int)
+//
+// dst[i] ^= a[i mod 16]·b[i] over GF(2^16); n > 0, n % 16 == 0. The
+// block a is loaded and mapped into T once (Y4); each iteration maps
+// only b.
+TEXT ·hadamardAccumTiledGFNI(SB), NOSPLIT, $0-32
+	GFNI_ARGS
+	GFNI_LOAD_CONSTS
+	VMOVDQU (SI), Y4
+	VPSHUFB Y15, Y4, Y4
+	TO_TOWER(Y4, Y2)
+
+tiledLoop:
+	VMOVDQU (DX), Y1
+	VPSHUFB Y15, Y1, Y1
+	TO_TOWER(Y1, Y3)
+	VMOVDQU Y4, Y0
+	TOWER_MUL_BACK(Y0, Y1, Y2, Y3)
+	VPXOR (DI), Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $16, CX
+	JNZ  tiledLoop
+	VZEROUPPER
+	RET
+
 // func hadamardAccumScaledGFNI(dst, a, b *Elem, n int, c Elem)
 //
 // dst[i] ^= c·a[i]·b[i] over GF(2^16); n > 0, n % 16 == 0. φ(c) =

@@ -252,6 +252,31 @@ func checkHadamard16(t *testing.T, path string, dst, a, b []Elem, c Elem) {
 	}
 }
 
+// checkPeriodic16 runs MulHadamardAccumPeriodic on (dst, a, b) and
+// compares it with Mul, with dst separate and aliased to b (the kernel
+// forbids aliasing a, which is shorter); path names the dispatch
+// setting in failures.
+func checkPeriodic16(t *testing.T, path string, dst, a, b []Elem) {
+	t.Helper()
+	for _, alias := range []string{"none", "dst==b"} {
+		y := append([]Elem(nil), b...)
+		got := append([]Elem(nil), dst...)
+		if alias == "dst==b" {
+			y = got
+		}
+		want := make([]Elem, len(got))
+		for i := range want {
+			want[i] = got[i] ^ Mul(a[i%len(a)], y[i])
+		}
+		MulHadamardAccumPeriodic(got, a, y)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s MulHadamardAccumPeriodic %s n=%d period=%d [%d]: got %#x want %#x", path, alias, len(got), len(a), i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func checkHadamard8(t *testing.T, path string, dst, a, b []uint8) {
 	t.Helper()
 	want := make([]uint8, len(dst))
@@ -276,6 +301,23 @@ func TestHadamardKernelsMatchScalar(t *testing.T) {
 			}
 			checkHadamard16(t, t.Name(), randSlice16(r, n), randSlice16(r, n), randSlice16(r, n), c)
 			checkHadamard8(t, t.Name(), randSlice8(r, n), randSlice8(r, n), randSlice8(r, n))
+		}
+	})
+}
+
+// TestHadamardPeriodicMatchesScalar covers MulHadamardAccumPeriodic's
+// three regimes on every path: periods that divide 16 (the tiled GFNI
+// block), multiples of 16 (one MulHadamardAccum per period) and the
+// rest (3, 12, 24: per-period calls with ragged blocks), each at every
+// length 0..129 so the tail starts at every phase.
+func TestHadamardPeriodicMatchesScalar(t *testing.T) {
+	withBothPaths(t, func(t *testing.T) {
+		r := rng.New(107)
+		for _, p := range []int{1, 2, 3, 4, 8, 12, 16, 24, 32, 64} {
+			a := randSlice16(r, p)
+			for n := 0; n <= 129; n++ {
+				checkPeriodic16(t, t.Name(), randSlice16(r, n), a, randSlice16(r, n))
+			}
 		}
 	})
 }
@@ -330,6 +372,40 @@ func TestHadamardGFNIBasisPairs(t *testing.T) {
 						dst = [16]Elem{}
 						hadamardAccumScaledGFNI(&dst[0], &a[0], &b[0], 16, 1<<k)
 						check("MulHadamardAccumScaled", 1<<k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHadamardTiledGFNIBasisPairs is TestHadamardGFNIBasisPairs for
+// the tiled kernel behind MulHadamardAccumPeriodic: it is bilinear in
+// the 16-element block a and the streamed b, so x^i at position p of a
+// against x^j at position q of a two-block b must give Mul(x^i, x^j) at
+// position q when q mod 16 == p and zero everywhere else. Two blocks of
+// b prove that the block is reused, not advanced, as b streams.
+func TestHadamardTiledGFNIBasisPairs(t *testing.T) {
+	if !haveGFNI {
+		t.Skip("no GFNI on this machine")
+	}
+	var a [16]Elem
+	var b, dst [32]Elem
+	for p := 0; p < 16; p++ {
+		for i := 0; i < 16; i++ {
+			for q := 0; q < 32; q++ {
+				for j := 0; j < 16; j++ {
+					a, b, dst = [16]Elem{}, [32]Elem{}, [32]Elem{}
+					a[p], b[q] = 1<<i, 1<<j
+					hadamardAccumTiledGFNI(&dst[0], &a[0], &b[0], 32)
+					for r := range dst {
+						want := Elem(0)
+						if r == q && q%16 == p {
+							want = Mul(1<<i, 1<<j)
+						}
+						if dst[r] != want {
+							t.Fatalf("a[%d]=x^%d b[%d]=x^%d: dst[%d]=%#x want %#x", p, i, q, j, r, dst[r], want)
+						}
 					}
 				}
 			}
@@ -514,15 +590,18 @@ func randSlice16FromFuzz(r *rng.Rand, n int) []Elem {
 }
 
 // FuzzHadamardKernels drives the Hadamard kernels with random operands,
-// scale, length and a slice offset (so blocks start at every alignment)
-// through every reachable dispatch path.
+// scale, length (up to 600) and a slice offset (so blocks start at
+// every alignment) through every reachable dispatch path, aliased dst
+// included. MulHadamardAccumPeriodic runs at periods 1, 2, 4, 8 and 16
+// (the tiled GFNI block) and 32 and 64 (one Hadamard per period).
 func FuzzHadamardKernels(f *testing.F) {
 	f.Add(uint64(1), uint16(0), 0, uint8(0))
 	f.Add(uint64(0xdeadbeef), uint16(1), 16, uint8(3))
 	f.Add(uint64(42), uint16(0x8000), 129, uint8(15))
+	f.Add(uint64(7), uint16(3), 600, uint8(31))
 	logPaths(f)
 	f.Fuzz(func(t *testing.T, seed uint64, c uint16, n int, off uint8) {
-		if n < 0 || n > 129 {
+		if n < 0 || n > 600 {
 			return
 		}
 		o := int(off % 32)
@@ -531,9 +610,17 @@ func FuzzHadamardKernels(f *testing.F) {
 		a, b, dst := slice16(), slice16(), slice16()
 		slice8 := func() []uint8 { return randSlice8(r, o+n)[o:] }
 		a8, b8, dst8 := slice8(), slice8(), slice8()
+		periods := []int{1, 2, 4, 8, 16, 32, 64}
+		blocks := make([][]Elem, len(periods))
+		for i, p := range periods {
+			blocks[i] = randSlice16FromFuzz(r, o+p)[o:]
+		}
 		forEachPath(func(path string) {
 			checkHadamard16(t, path, dst, a, b, c)
 			checkHadamard8(t, path, append([]uint8(nil), dst8...), a8, b8)
+			for _, blk := range blocks {
+				checkPeriodic16(t, path, dst, blk, b)
+			}
 		})
 	})
 }

@@ -28,6 +28,10 @@ func hadamardAccumGFNI(dst, a, b *Elem, n int) {
 	panic("gf: GFNI kernel unavailable on this architecture")
 }
 
+func hadamardAccumTiledGFNI(dst, a, b *Elem, n int) {
+	panic("gf: GFNI kernel unavailable on this architecture")
+}
+
 func hadamardAccumScaledGFNI(dst, a, b *Elem, n int, c Elem) {
 	panic("gf: GFNI kernel unavailable on this architecture")
 }

@@ -125,7 +125,7 @@ func TestTotalsIndependentOfPhaseWidth(t *testing.T) {
 				st.Motif = spec
 				return st
 			}},
-		{"scanstat", gSmall, WeightSlabs(scanJ, scanZ), func(g *graph.Graph) Family { return &scanFamily{j: scanJ, maxw: scanMaxWeight(g)} },
+		{"scanstat", gSmall, WeightSlabs(scanJ, scanZ), func(g *graph.Graph) Family { return &scanFamily{j: scanJ} },
 			func(g *graph.Graph, seed uint64) *laneState {
 				st := assignedLane(NewScanAssignment(g.NumVertices(), scanJ, seed, 0))
 				st.ZMax = scanZ

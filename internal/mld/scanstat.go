@@ -2,6 +2,7 @@ package mld
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
@@ -22,23 +23,47 @@ type scanExt struct {
 // budget; the family keeps the table's historical phase-less
 // accounting (no phase spans, Levels charged without DPOps).
 type scanFamily struct {
-	j    int   // subgraph size of this engine pass
-	maxw int64 // max vertex weight: caps the per-stratum z loops
+	j int // subgraph size of this engine pass
 
-	p    [][][]gf.Elem // p[jj][z]: flat n×N2, one stratum per (level, weight)
-	base []gf.Elem
+	// p[jj] is level jj as one vertex-major slab of n × nz × N2
+	// elements: P(i, jj, z) is the nb-wide run at [(i·nz + z)·nb, +nb),
+	// so a vertex's weight strata are contiguous.
+	p [][]gf.Elem
+	// live[jj][i] is the range of vertex i's nonzero strata at level
+	// jj < j, recorded once its row is complete; empty when lo > hi.
+	// The levels share one buffer, ranges, from rangePool.
+	live   [][]zRange
+	ranges []zRange
+	base   []gf.Elem
 }
 
-// scanMaxWeight is the largest vertex weight: a subgraph on s vertices
-// weighs at most s·maxw, so DP cells above that are identically zero.
-func scanMaxWeight(g *graph.Graph) int64 {
-	var maxw int64
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if w := g.Weight(v); w > maxw {
-			maxw = w
+// zRange is a closed range [lo, hi] of weight strata.
+type zRange struct{ lo, hi int }
+
+// rangePool recycles the live-range buffers of finished sweeps. Without
+// it every scan query leaves 16 bytes per vertex and level to the
+// collector, which raises a serving process's peak RSS.
+var rangePool sync.Pool // of *[]zRange
+
+// grabRanges returns a buffer of n ranges, reused when the pool has
+// one large enough. Its contents are stale: every range is written
+// before it is read.
+func grabRanges(n int) []zRange {
+	if p, _ := rangePool.Get().(*[]zRange); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]zRange, n)
+}
+
+// liveStrata returns the range of nonzero nb-wide strata in row.
+func liveStrata(row []gf.Elem, nb int) zRange {
+	r := zRange{lo: len(row) / nb, hi: -1}
+	for z := 0; z < len(row)/nb; z++ {
+		if gf.AnyNonZero(row[z*nb : z*nb+nb]) {
+			r.lo, r.hi = min(r.lo, z), z
 		}
 	}
-	return maxw
+	return r
 }
 
 func (f *scanFamily) Kind() string      { return "scan" }
@@ -63,45 +88,47 @@ func (f *scanFamily) EndRound(st *laneState, round int) {
 }
 
 func (f *scanFamily) Alloc(e *laneRun) {
-	size := e.g.NumVertices() * e.n2
+	n := e.g.NumVertices()
 	nz := e.st.scan.nz
-	f.p = make([][][]gf.Elem, f.j+1)
+	f.p = make([][]gf.Elem, f.j+1)
 	for jj := 1; jj <= f.j; jj++ {
-		f.p[jj] = make([][]gf.Elem, nz)
-		for z := 0; z < nz; z++ {
-			f.p[jj][z] = e.opt.Arena.Grab(size)
-		}
+		f.p[jj] = e.opt.Arena.Grab(n * nz * e.n2)
 	}
-	f.base = e.opt.Arena.Grab(size)
+	f.ranges = grabRanges((f.j - 1) * n)
+	f.live = make([][]zRange, f.j)
+	for jj := 1; jj < f.j; jj++ {
+		f.live[jj] = f.ranges[(jj-1)*n : jj*n]
+	}
+	f.base = e.opt.Arena.Grab(n * e.n2)
 	e.st.scan.totals = make([]gf.Elem, nz)
 }
 
 func (f *scanFamily) Free(e *laneRun) {
 	e.opt.Arena.Put(f.base)
-	for jj := 1; jj <= f.j; jj++ {
-		e.opt.Arena.Put(f.p[jj]...)
-	}
-	f.base, f.p = nil, nil
+	e.opt.Arena.Put(f.p[1:]...)
+	ranges := f.ranges
+	rangePool.Put(&ranges)
+	f.base, f.p, f.live, f.ranges = nil, nil, nil, nil
 }
 
 func (f *scanFamily) InitRow(e *laneRun) {
 	g, st, nb := e.g, e.st, e.st.nb
-	n := g.NumVertices()
+	n, nz := g.NumVertices(), st.scan.nz
 	for i := 0; i < n; i++ {
 		st.a.FillBase(f.base[i*nb:(i+1)*nb], int32(i), e.q0, e.opt.NoGray)
 	}
 	for jj := 1; jj <= f.j; jj++ {
-		for _, buf := range f.p[jj] {
-			clear(buf[:n*nb])
-		}
+		clear(f.p[jj][:n*nz*nb])
 	}
 	// base case: P(i,1,w(i)) = x_i
 	for i := 0; i < n; i++ {
-		w := g.Weight(int32(i))
-		if w > st.ZMax {
-			continue
+		row := f.p[1][i*nz*nb : (i+1)*nz*nb]
+		if w := g.Weight(int32(i)); w <= st.ZMax {
+			copy(row[int(w)*nb:], f.base[i*nb:(i+1)*nb])
 		}
-		copy(f.p[1][w][i*nb:(i+1)*nb], f.base[i*nb:(i+1)*nb])
+		if f.j > 1 {
+			f.live[1][i] = liveStrata(row, nb)
+		}
 	}
 }
 
@@ -109,61 +136,82 @@ func (f *scanFamily) Transfers(e *laneRun) int { return f.j - 1 }
 
 // Transfer runs one level of the inductive case — P(i,jj,z) =
 // Σ_u Σ_{j'} Σ_{z'} r·P(i,j',z')·P(u,jj-j',z-z') — over the lane's
-// weight strata. Level jj reads only levels < jj, and each vertex
-// writes only its own rows, so the vertex loop parallelizes per level.
+// weight strata. The local piece P(i,j',z') does not depend on u, so
+// for each live z' the neighbour pieces are first summed over all
+// their live strata at once, tmp[zr] = Σ_u r·P(u,jj−j')[zr] (one axpy
+// per neighbour over a contiguous run of strata), and then one
+// periodic Hadamard adds P(i,j',z') ⊙ tmp[zr] into P(i,jj,z'+zr) for
+// every zr. r = ScanCoeff(u, i, jj, j', z') keeps z' in the
+// fingerprint, so the totals equal the per-(u, z', zr) triple product
+// exactly. Level jj reads only levels < jj, and each vertex writes
+// only its own rows, so the vertex loop parallelizes per level.
 func (f *scanFamily) Transfer(e *laneRun, step int) {
 	jj := step + 1
 	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
 	nz := st.scan.nz
-	zcap := func(s int) int {
-		c := int64(s) * f.maxw
-		if c > st.ZMax {
-			c = st.ZMax
-		}
-		return int(c)
-	}
+	stride := nz * nb // one vertex's strata at one level
 	opt.obsSpan(obs.LevelName, jj, "level")
 	opt.Obs.Add(obs.Levels, 1)
+	dst := f.p[jj]
 	opt.parallelVertices(g, func(lo, hi int32) {
+		tmp := opt.Arena.Grab(stride) // per-worker neighbour sum, one run per stratum
 		var sk int64
 		for i := lo; i < hi; i++ {
-			iLo, iHi := int(i)*nb, int(i)*nb+nb
-			for _, u := range g.Neighbors(i) {
-				uLo, uHi := int(u)*nb, int(u)*nb+nb
-				for jp := 1; jp < jj; jp++ {
-					jr := jj - jp
-					for zp := 0; zp <= zcap(jp); zp++ {
-						src1 := f.p[jp][zp][iLo:iHi]
-						if !gf.AnyNonZero(src1) {
-							sk++
+			row := int(i) * stride
+			for jp := 1; jp < jj; jp++ {
+				jr := jj - jp
+				src := f.p[jp][row : row+stride]
+				for zp := f.live[jp][i].lo; zp <= f.live[jp][i].hi; zp++ {
+					local := src[zp*nb : zp*nb+nb]
+					if !gf.AnyNonZero(local) {
+						sk++ // a dead source stratum inside the live range
+						continue
+					}
+					tlo, thi := nz, -1 // strata of tmp written
+					for _, u := range g.Neighbors(i) {
+						ur := f.live[jr][u]
+						zlo, zhi := ur.lo, min(ur.hi, nz-1-zp)
+						if zlo > zhi {
+							sk++ // u has nothing of weight ≤ zmax − z'
 							continue
 						}
-						var r gf.Elem = 1
+						r := gf.Elem(1)
 						if !opt.NoFingerprints {
 							r = st.a.ScanCoeff(u, i, jj, jp, int64(zp))
 						}
-						for zr := 0; zr <= zcap(jr) && zp+zr < nz; zr++ {
-							src2 := f.p[jr][zr][uLo:uHi]
-							if !gf.AnyNonZero(src2) {
-								sk++
-								continue
-							}
-							gf.MulHadamardAccumScaled(f.p[jj][zp+zr][iLo:iHi], src1, src2, r)
-						}
+						urow := int(u)*stride + zlo*nb
+						gf.MulSlice16(tmp[zlo*nb:(zhi+1)*nb], f.p[jr][urow:urow+(zhi+1-zlo)*nb], r)
+						tlo, thi = min(tlo, zlo), max(thi, zhi)
 					}
+					if tlo > thi {
+						continue
+					}
+					// P(i,jj)[z'+zr] ^= P(i,j')[z'] ⊙ tmp[zr]
+					sum := tmp[tlo*nb : (thi+1)*nb]
+					at := row + (zp+tlo)*nb
+					gf.MulHadamardAccumPeriodic(dst[at:at+len(sum)], local, sum)
+					clear(sum)
 				}
 			}
+			if jj < f.j {
+				f.live[jj][i] = liveStrata(dst[row:row+stride], nb)
+			}
 		}
+		opt.Arena.Put(tmp)
 		e.addSkipped(sk)
 	})
 	opt.obsEnd()
 }
 
 func (f *scanFamily) Finalize(e *laneRun) {
-	sc, size := e.st.scan, e.g.NumVertices()*e.st.nb
-	for z := 0; z < sc.nz; z++ {
-		for _, v := range f.p[f.j][z][:size] {
-			sc.totals[z] ^= v
+	sc, nb := e.st.scan, e.st.nb
+	stride := sc.nz * nb
+	last := f.p[f.j][:e.g.NumVertices()*stride]
+	for row := 0; row < len(last); row += stride {
+		for z := 0; z < sc.nz; z++ {
+			for _, v := range last[row+z*nb : row+(z+1)*nb] {
+				sc.totals[z] ^= v
+			}
 		}
 	}
 }
@@ -203,7 +251,6 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error)
 		opt.Arena = NewArena() // share slabs across sizes and rounds
 	}
 	ExactScanRows(g, feas)
-	maxw := scanMaxWeight(g)
 	st := soloLane(k, opt)
 	st.ZMax = zmax
 	st.scan = &scanExt{feas: feas, nz: int(zmax) + 1}
@@ -214,7 +261,7 @@ func ScanTable(g *graph.Graph, k int, zmax int64, opt Options) ([][]bool, error)
 		st.iters = uint64(1) << uint(j)
 		st.roundsTotal = opt.RoundsFor(j)
 		n2 := PlanN2(opt.N2, g.NumVertices(), j, WeightSlabs(j, zmax))
-		if err := runLane(g, &scanFamily{j: j, maxw: maxw}, st, n2, opt); err != nil {
+		if err := runLane(g, &scanFamily{j: j}, st, n2, opt); err != nil {
 			return nil, err
 		}
 	}
@@ -295,7 +342,7 @@ func scanRound(g *graph.Graph, j int, zmax int64, a *Assignment, opt Options) ([
 	st := assignedLane(a)
 	st.ZMax = zmax
 	st.scan = &scanExt{nz: int(zmax) + 1}
-	if err := sweep(g, &scanFamily{j: j, maxw: scanMaxWeight(g)}, st, PlanN2(opt.N2, g.NumVertices(), j, WeightSlabs(j, zmax)), opt); err != nil {
+	if err := sweep(g, &scanFamily{j: j}, st, PlanN2(opt.N2, g.NumVertices(), j, WeightSlabs(j, zmax)), opt); err != nil {
 		return nil, err
 	}
 	return st.scan.totals, nil

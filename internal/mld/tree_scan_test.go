@@ -1,9 +1,14 @@
 package mld
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
+	"github.com/midas-hpc/midas/internal/obs"
 	"github.com/midas-hpc/midas/internal/rng"
 )
 
@@ -366,15 +371,196 @@ func TestScanTableWorkersInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ScanTable(g, k, zmax, Options{Seed: 2, Rounds: 1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 1; j <= k; j++ {
-		for z := 0; z <= zmax; z++ {
-			if got[j][z] != want[j][z] {
-				t.Fatalf("workers changed cell (%d,%d)", j, z)
+	for _, n2 := range []int{4, 8} {
+		for _, workers := range []int{1, 2, 3} {
+			got, err := ScanTable(g, k, zmax, Options{Seed: 2, Rounds: 1, N2: n2, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 1; j <= k; j++ {
+				for z := 0; z <= zmax; z++ {
+					if got[j][z] != want[j][z] {
+						t.Fatalf("N2=%d Workers=%d changed cell (%d,%d)", n2, workers, j, z)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestScanTableConcurrentCalls runs ScanTable calls side by side, as
+// a query service does, so the race detector sees the live-range
+// buffers that finished sweeps hand to later ones through rangePool.
+// Every call must still return its sequential table.
+func TestScanTableConcurrentCalls(t *testing.T) {
+	g := graph.RandomGNM(30, 70, 6)
+	w := make([]int64, g.NumVertices())
+	for i := range w {
+		w[i] = int64(i % 3)
+	}
+	g.SetWeights(w)
+	const k, zmax, calls = 5, 6, 4
+	want := make([][][]bool, calls)
+	for c := range want {
+		tab, err := ScanTable(g, k, zmax, Options{Seed: uint64(c), Rounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = tab
+	}
+	got := make([][][]bool, calls)
+	errs := make([]error, calls)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[c], errs[c] = ScanTable(g, k, zmax, Options{Seed: uint64(c), Rounds: 1, Workers: 2})
+		}()
+	}
+	wg.Wait()
+	for c := range got {
+		if errs[c] != nil {
+			t.Fatal(errs[c])
+		}
+		if !reflect.DeepEqual(got[c], want[c]) {
+			t.Fatalf("call %d: concurrent table %v, sequential %v", c, got[c], want[c])
+		}
+	}
+}
+
+// refScanTotals is the scan polynomial's per-weight round totals
+// straight from its definition: for every iteration mask, the scalar
+// DP P(i,jj,z) = Σ_u Σ_{j'} Σ_{z'} r·P(i,j',z')·P(u,jj−j',z−z') with
+// r = ScanCoeff(u, i, jj, j', z'), one field element at a time.
+func refScanTotals(g *graph.Graph, j int, zmax int64, a *Assignment) []gf.Elem {
+	n, nz := g.NumVertices(), int(zmax)+1
+	totals := make([]gf.Elem, nz)
+	p := make([][][]gf.Elem, j+1) // p[jj][i][z]
+	for mask := uint64(0); mask < 1<<uint(j); mask++ {
+		for jj := 1; jj <= j; jj++ {
+			p[jj] = make([][]gf.Elem, n)
+			for i := range p[jj] {
+				p[jj][i] = make([]gf.Elem, nz)
+			}
+		}
+		for i := int32(0); i < int32(n); i++ {
+			if w := g.Weight(i); w <= zmax {
+				p[1][i][w] = a.VertexValue(i, mask)
+			}
+		}
+		for jj := 2; jj <= j; jj++ {
+			for i := int32(0); i < int32(n); i++ {
+				for _, u := range g.Neighbors(i) {
+					for jp := 1; jp < jj; jp++ {
+						for zp := 0; zp < nz; zp++ {
+							r := a.ScanCoeff(u, i, jj, jp, int64(zp))
+							for zr := 0; zp+zr < nz; zr++ {
+								p[jj][i][zp+zr] ^= gf.Mul(r, gf.Mul(p[jp][i][zp], p[jj-jp][u][zr]))
+							}
+						}
+					}
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			for z := range totals {
+				totals[z] ^= p[j][i][z]
+			}
+		}
+	}
+	return totals
+}
+
+// TestScanJoinMatchesDefinition pins the factored, strata-contiguous
+// scan join to the polynomial's definition: per-round, per-weight
+// totals equal refScanTotals byte for byte on 20 seeded graphs × k
+// 3…5 × zmax {4, 8}, at phase widths that split the sweep (N2 4) or
+// not, and at one and two workers.
+func TestScanJoinMatchesDefinition(t *testing.T) {
+	nonzero := 0
+	for seed := uint64(0); seed < 20; seed++ {
+		g := graph.RandomGNM(12, 24, seed)
+		r := rng.New(seed)
+		w := make([]int64, g.NumVertices())
+		for i := range w {
+			w[i] = int64(r.Intn(3))
+		}
+		g.SetWeights(w)
+		for k := 3; k <= 5; k++ {
+			for _, zmax := range []int64{4, 8} {
+				a := NewScanAssignment(g.NumVertices(), k, seed, 0)
+				want := refScanTotals(g, k, zmax, a)
+				if gf.AnyNonZero(want) {
+					nonzero++
+				}
+				for _, opt := range []Options{{N2: 4}, {N2: 32, Workers: 2}} {
+					got, err := scanRound(g, k, zmax, a, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d k=%d zmax=%d %+v: totals %v, definition %v", seed, k, zmax, opt, got, want)
+					}
+				}
+			}
+		}
+	}
+	if nonzero < 100 {
+		t.Fatalf("only %d of 120 cases have a nonzero total: the instances pin too little", nonzero)
+	}
+}
+
+// TestScanCountersPinned pins the execution counters of one ScanTable
+// run to exact values, as core's TestMotifCountersPinned does for
+// motif. CellsSkipped counts, per (vertex, split j', live z'), a dead
+// source stratum inside the vertex's live range as one, and each
+// neighbour whose live range at level jj − j' (clipped to weight
+// ≤ zmax − z') is empty as one.
+func TestScanCountersPinned(t *testing.T) {
+	g := graph.RandomGNM(40, 120, 4)
+	w := make([]int64, g.NumVertices())
+	for i := range w {
+		w[i] = int64(i % 3)
+	}
+	g.SetWeights(w)
+	rec := obs.NewRecorder(0, nil)
+	if _, err := ScanTable(g, 5, 6, Options{Seed: 71, Rounds: 2, N2: 8, Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		c    obs.Counter
+		want int64
+	}{{obs.Rounds, 6}, {obs.Levels, 48}, {obs.CellsSkipped, 3960}} {
+		if got := rec.Get(c.c); got != c.want {
+			t.Errorf("%s = %d, want %d", c.c, got, c.want)
+		}
+	}
+}
+
+// BenchmarkScanTableWide times one round of a scan table at the shape
+// of the wall-clock benchmark's kinds-wide workload: k = 4, zmax = 8,
+// on a Barabási–Albert graph with n = 10 000 and 5 edges per new
+// vertex, weights uniform in 0–2, in a process that has already built
+// every coefficient's form. Run via `make bench`.
+func BenchmarkScanTableWide(b *testing.B) {
+	const n, k, zmax = 10000, 4, 8
+	g := graph.BarabasiAlbert(n, 5, 1)
+	r := rng.New(1)
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = int64(r.Intn(3))
+	}
+	g.SetWeights(w)
+	arena := NewArena()
+	buildAllTablesScrambled()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ScanTable(g, k, zmax, Options{Seed: uint64(i + 1), Rounds: 1, Workers: workers, Arena: arena}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
