@@ -40,11 +40,11 @@ race:
 
 # A short burst of each differential fuzzer: random labeled graphs and
 # constraints, constrained-motif detection vs. brute-force enumeration;
-# the GF axpy kernels (coefficient store and prebuilt tables) and the
-# GF Hadamard kernels, the scan join's MulHadamardAccumPeriodic
-# included, vs. Mul on every reachable dispatch path (-v logs which
-# paths this machine reaches). -fuzz takes one target per run, hence
-# one line each.
+# the GF axpy kernels (coefficient store, gathered forms through
+# MulSliceForm, prebuilt tables) and the GF Hadamard kernels, the scan
+# join's MulHadamardAccumPeriodic included, vs. Mul on every reachable
+# dispatch path (-v logs which paths this machine reaches). -fuzz takes
+# one target per run, hence one line each.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMotifVsBruteForce -fuzztime $(FUZZTIME) ./internal/mld
@@ -59,9 +59,11 @@ doc-links:
 	$(GO) run ./cmd/doccheck
 
 # Microbenchmarks of the hot kernels (GF(2^w) multiplies, the
-# GF(2^16) axpy once per dispatch path, DP inner loop, the sweep
-# at the pre-planner / planned / single-phase widths, the scan table
-# at the kinds-wide shape at one and two workers,
+# GF(2^16) axpy once per dispatch path, DP inner loop, the path sweep
+# at the pre-planner / planned / single-phase widths and at the planned
+# width on two workers (BenchmarkPathSweepN2), the tree sweep
+# (BenchmarkTreeSweep) and the scan table at the kinds-wide shape at
+# one and two workers,
 # a 12-query burst as back-to-back solo calls / lane-parallel solo
 # sweeps), repeated for benchstat-friendly output.
 bench:

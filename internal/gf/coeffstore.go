@@ -3,13 +3,14 @@ package gf
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Per-coefficient store behind MulSlice16. The DP multiplies every
-// neighbor row by a fingerprint coefficient hashed from (edge, level);
-// one coefficient is reused against a fresh slice for every batch of
-// every round, and the same (edge, level) pairs recur across all 2^k/N2
-// phases. MulSlice16 therefore keeps its kernel's per-constant form by
+// Per-coefficient store behind MulSlice16 and FormsOf. The DP
+// multiplies every neighbor row by a fingerprint coefficient hashed from
+// (edge, level); one coefficient is reused against a fresh slice for
+// every batch of every round, and the same (edge, level) pairs recur
+// across all 2^k/N2 phases. MulSlice16 therefore keeps its kernel's per-constant form by
 // coefficient value, so each distinct constant pays its build exactly
 // once per process:
 //
@@ -25,7 +26,10 @@ import (
 // forms per phase against a DP state that fits in cache, so the fetch is
 // the axpy's dominant miss: indexing the forms directly costs one
 // dependent miss where a pointer per slot would cost two, and a 32-byte
-// form is half a cache line where a table is two.
+// form is half a cache line where a table is two. A caller that knows
+// its coefficients ahead copies a run of forms out with FormsOf and
+// hands each to MulSliceForm, so the misses overlap instead of each
+// stalling its own axpy (internal/mld's path and tree sweeps do).
 //
 // A ready bitmap (one bit per coefficient, 8 KiB, cache-resident) says
 // which slots are built. Readers do one atomic word load; first use
@@ -60,9 +64,13 @@ func (r *readyBits) build(c Elem, fill func()) {
 // affineForm returns c's affine form, building it on first use.
 func affineForm(c Elem) *[4]uint64 {
 	if !affineReady.built(c) {
-		affineReady.build(c, func() { affineMulMatrix(&affineForms[c], c) })
+		buildAffineForm(c)
 	}
 	return &affineForms[c]
+}
+
+func buildAffineForm(c Elem) {
+	affineReady.build(c, func() { affineMulMatrix(&affineForms[c], c) })
 }
 
 // lutForm returns c's nibble tables, building them on first use.
@@ -71,4 +79,45 @@ func lutForm(c Elem) *MulTable {
 		lutReady.build(c, func() { lutForms[c].Init(c) })
 	}
 	return &lutForms[c]
+}
+
+// Form is one coefficient's axpy kernel form, as MulSliceForm takes it:
+// c's 32 bytes of affine matrices, copied out of the store, where the
+// CPU has GFNI, and c alone elsewhere. A form is valid under the
+// dispatch it was built for, which never changes in a running process.
+type Form struct{ m [4]uint64 }
+
+// FormElems is a Form's size in field elements: FormsIn views a slab of
+// n·FormElems elements as n forms.
+const FormElems = 16
+
+// FormsOf sets dst[j] to cs[j]'s form for every j, building store slots
+// on first use. dst must be at least as long as cs. It is one loop over
+// the run rather than a call per coefficient: the store reads are
+// independent, and the loop keeps many of them in flight.
+func FormsOf(dst []Form, cs []Elem) {
+	dst = dst[:len(cs)]
+	if !haveGFNI {
+		for j, c := range cs {
+			dst[j] = Form{[4]uint64{uint64(c)}}
+		}
+		return
+	}
+	for j, c := range cs {
+		if !affineReady.built(c) {
+			buildAffineForm(c)
+		}
+		dst[j].m = affineForms[c]
+	}
+}
+
+// FormsIn views buf as len(buf)/FormElems forms sharing its memory, so
+// form buffers can come from the same pools as []Elem DP slabs. Both
+// types hold no pointers.
+func FormsIn(buf []Elem) []Form {
+	n := len(buf) / FormElems
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*Form)(unsafe.Pointer(&buf[0])), n)
 }

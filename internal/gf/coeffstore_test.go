@@ -6,8 +6,9 @@ import (
 )
 
 // TestCoeffStoreFirstUseHammer races 64 goroutines on the first use of
-// the same coefficients of each flat store, through MulSlice16 on every
-// reachable dispatch path: every caller must multiply by the fully
+// the same coefficients of each flat store, half through MulSlice16 and
+// half through a FormsOf gather and MulSliceForm, on every reachable
+// dispatch path: every caller must multiply by the fully
 // built form of c, with no data race between the builder and the
 // readers (run under -race by `make race`), and each slot must end up
 // holding exactly its coefficient's form. Each path walks its own
@@ -28,13 +29,19 @@ func TestCoeffStoreFirstUseHammer(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				dst := make([]Elem, len(src))
+				form := make([]Form, 1)
 				<-start
 				for i := 0; i < coeffs; i++ {
 					// Stagger the walk so goroutines collide on first use
 					// from both directions.
 					c := first + Elem((i+w*7)%coeffs)
 					clear(dst)
-					MulSlice16(dst, src, c)
+					if w%2 == 0 {
+						MulSlice16(dst, src, c)
+					} else {
+						FormsOf(form, []Elem{c})
+						MulSliceForm(dst, src, &form[0])
+					}
 					if want := Mul(c, src[5]); dst[5] != want {
 						t.Errorf("%s: %#x multiplies %#x to %#x, want %#x", path, c, src[5], dst[5], want)
 						return

@@ -47,7 +47,8 @@ package gf
 // a single triple-product lookup via the three-period exp16 table.
 //
 // Callers pass the coefficient itself to MulSlice16, which fetches (or
-// on first use builds) the constant's form from the store. MulTable and
+// on first use builds) the constant's form from the store, or gather
+// forms ahead with FormsOf and pass each to MulSliceForm. MulTable and
 // MulSliceTable16 keep the nibble-table form available outside the
 // store, for callers that hold one table for one constant. Every kernel
 // here is pinned byte-identical to the scalar reference, on every
@@ -255,9 +256,11 @@ func (t *MulTable8) At(s uint8) uint8 { return Mul8(t.c, s) }
 //
 // The kernel's per-constant form comes from the process-wide
 // coefficient store (coeffstore.go), built on first use of c. Blocks of
-// 16 run on the GFNI affine kernel where the CPU has GFNI, else on the
-// AVX2 nibble kernel, else on the portable table loops; tails run the
-// scalar log/exp loop.
+// 16 run on the GFNI affine kernel where the CPU has GFNI (a ragged
+// tail as one padded block), else on the AVX2 nibble kernel with a
+// scalar log/exp tail, else on the portable table loops. A slice
+// shorter than 16 on a SIMD path runs the scalar loop and leaves the
+// store alone.
 func MulSlice16(dst, src []Elem, c Elem) {
 	if len(dst) != len(src) {
 		panic("gf: MulSlice16 length mismatch")
@@ -268,14 +271,49 @@ func MulSlice16(dst, src []Elem, c Elem) {
 	n := len(src) &^ 15
 	switch {
 	case haveGFNI && n > 0:
-		axpyAffineGFNI(&dst[0], &src[0], n, affineForm(c))
-		if n < len(src) { // the DP's widths are multiples of 16: skip the log16[c] miss
-			mulSliceScalar16(dst[n:], src[n:], c)
-		}
+		axpyAffine(dst, src, affineForm(c))
 	case haveAsm && n == 0: // shorter than a block: no store slot to touch
 		mulSliceScalar16(dst, src, c)
 	default:
 		axpyTable16(dst, src, lutForm(c), c)
+	}
+}
+
+// MulSliceForm computes dst[i] ^= c·src[i] over GF(2^16) for all i,
+// where f is c's form from FormsOf: MulSlice16 with the store read
+// already done. dst and src must have equal length. With GFNI the
+// whole slice runs on the affine kernel, a ragged tail as one padded
+// block; elsewhere the form holds only c and this is
+// MulSlice16(dst, src, c).
+func MulSliceForm(dst, src []Elem, f *Form) {
+	if len(dst) != len(src) {
+		panic("gf: MulSliceForm length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	if haveGFNI {
+		axpyAffine(dst, src, &f.m)
+		return
+	}
+	MulSlice16(dst, src, Elem(f.m[0]))
+}
+
+// axpyAffine is the GFNI axpy with c's affine form m over a nonempty
+// slice. A ragged tail runs as one zero-padded block on the stack, so
+// with the form already loaded no element needs the scalar loop's
+// log16[c] and per-element table reads.
+func axpyAffine(dst, src []Elem, m *[4]uint64) {
+	n := len(src) &^ 15
+	if n > 0 {
+		axpyAffineGFNI(&dst[0], &src[0], n, m)
+	}
+	if n < len(src) {
+		var d, s [16]Elem
+		copy(s[:], src[n:])
+		t := copy(d[:], dst[n:])
+		axpyAffineGFNI(&d[0], &s[0], 16, m)
+		copy(dst[n:], d[:t])
 	}
 }
 

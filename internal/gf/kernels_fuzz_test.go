@@ -121,6 +121,40 @@ func TestKernelMulSlice16BothPaths(t *testing.T) {
 	})
 }
 
+// TestMulSliceFormMatchesScalar pins MulSliceForm to the scalar
+// reference at every length 0–600 (so every tail 1–15 after zero to 37
+// blocks), at c = 0, c = 1 and random c, aliased dst included, with the
+// forms built under each dispatch path and read back through FormsIn
+// from a []Elem slab, as the DP's form buffers are.
+func TestMulSliceFormMatchesScalar(t *testing.T) {
+	withBothPaths(t, func(t *testing.T) {
+		r := rng.New(107)
+		cs := []Elem{0, 1, Elem(r.Uint32()), Elem(r.Uint32()) | 0x8000}
+		forms := FormsIn(make([]Elem, len(cs)*FormElems))
+		FormsOf(forms, cs)
+		for n := 0; n <= 600; n++ {
+			src := randSlice16(r, n)
+			dst := randSlice16(r, n)
+			for i, c := range cs {
+				want := append([]Elem(nil), dst...)
+				refAxpy16(want, src, c)
+				got := append([]Elem(nil), dst...)
+				MulSliceForm(got, src, &forms[i])
+				wantAl := append([]Elem(nil), src...)
+				refAxpy16(wantAl, src, c)
+				al := append([]Elem(nil), src...)
+				MulSliceForm(al, al, &forms[i])
+				for j := range got {
+					if got[j] != want[j] || al[j] != wantAl[j] {
+						t.Fatalf("n=%d c=%#x [%d]: got %#x (aliased %#x) want %#x (%#x)",
+							n, c, j, got[j], al[j], want[j], wantAl[j])
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestMulSliceTable16MatchesScalar(t *testing.T) {
 	withBothPaths(t, func(t *testing.T) {
 		r := rng.New(102)
@@ -534,15 +568,19 @@ func TestAnyNonZeroMatchesScan(t *testing.T) {
 	}
 }
 
-// FuzzMulSlice16Kernel drives MulSlice16 (the coefficient-store axpy)
-// and MulSliceTable16 with a random constant, contents, length (up to
-// 600, past the portable path's byte-fusing threshold) and a slice
-// offset (so blocks start at every alignment) through every reachable
-// dispatch path, aliased dst included.
+// FuzzMulSlice16Kernel drives MulSlice16 (the coefficient-store axpy),
+// MulSliceForm (the same axpy from a form FormsOf gathered) and
+// MulSliceTable16 with a random constant, contents, length (up to 600,
+// past the portable path's byte-fusing threshold, so every tail 1–15
+// occurs) and a slice offset (so blocks start at every alignment)
+// through every reachable dispatch path, aliased dst included. The form
+// is built under each path, as a sweep builds it under the one it runs.
 func FuzzMulSlice16Kernel(f *testing.F) {
 	f.Add(uint16(0), uint64(1), 7, uint8(0))
 	f.Add(uint16(1), uint64(0xdeadbeef), 48, uint8(3))
 	f.Add(uint16(0x8000), uint64(42), 129, uint8(31))
+	f.Add(uint16(1), uint64(5), 599, uint8(1))
+	f.Add(uint16(0), uint64(6), 593, uint8(2))
 	logPaths(f)
 	f.Fuzz(func(t *testing.T, c uint16, seed uint64, n int, off uint8) {
 		if n < 0 || n > 600 {
@@ -558,11 +596,14 @@ func FuzzMulSlice16Kernel(f *testing.F) {
 		refAxpy16(wantAliased, src, c)
 		tab := NewMulTable(c)
 		forEachPath(func(path string) {
+			forms := make([]Form, 1)
+			FormsOf(forms, []Elem{c})
 			kernels := []struct {
 				name string
 				run  func(dst, src []Elem)
 			}{
 				{"MulSlice16", func(dst, src []Elem) { MulSlice16(dst, src, c) }},
+				{"MulSliceForm", func(dst, src []Elem) { MulSliceForm(dst, src, &forms[0]) }},
 				{"MulSliceTable16", func(dst, src []Elem) { MulSliceTable16(dst, src, tab) }},
 			}
 			for _, k := range kernels {

@@ -17,6 +17,7 @@ package mld
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
@@ -117,11 +118,29 @@ func (st *laneState) fail(err error) {
 }
 
 // accumulate folds a finished DP level — the first n·nb elements of
-// its slab — into the lane's round total.
+// its slab — into the lane's round total. The sum is a XOR, so it runs
+// over 64-bit words, four elements each, between a scalar head up to an
+// 8-byte boundary and a scalar tail, and folds the word's four lanes at
+// the end.
 func (st *laneState) accumulate(vals []gf.Elem) {
-	for _, v := range vals {
-		st.total ^= v
+	t := st.total
+	for len(vals) > 0 && uintptr(unsafe.Pointer(&vals[0]))&7 != 0 {
+		t ^= vals[0]
+		vals = vals[1:]
 	}
+	var w uint64
+	if n := len(vals) / 4; n > 0 {
+		for _, x := range unsafe.Slice((*uint64)(unsafe.Pointer(&vals[0])), n) {
+			w ^= x
+		}
+		vals = vals[4*n:]
+	}
+	for _, v := range vals {
+		t ^= v
+	}
+	w ^= w >> 32
+	w ^= w >> 16
+	st.total = t ^ gf.Elem(w)
 }
 
 // laneRun is the engine→family call context of one sweep: the graph,
@@ -133,6 +152,7 @@ type laneRun struct {
 	q0      uint64
 	st      *laneState
 	skipped atomic.Int64 // dead-cell counter, flushed per sweep
+	coeffs  []gf.Elem    // the round's fingerprints in CSR order (grabCoeffs), or nil
 }
 
 // levelElems is the analytic per-iteration element count of one DP
@@ -237,5 +257,112 @@ func (e *laneRun) cancelled() (bool, error) {
 func (e *laneRun) addSkipped(sk int64) {
 	if sk != 0 {
 		e.skipped.Add(sk)
+	}
+}
+
+// Fingerprinted transfers. A path or tree level multiplies each
+// neighbour row by its (edge, level) fingerprint: one axpy per CSR edge,
+// whose kernel needs the coefficient's form from gf's store (2 MiB of
+// affine matrices on GFNI hosts). Read one axpy at a time, that form is
+// a dependent random miss behind a hash, in every phase again. transfer
+// instead walks a worker's edges in chunks of formChunk: it first
+// gathers the chunk's forms into a per-worker buffer, so the scattered
+// store reads overlap, then runs the chunk's axpys. A round of more than
+// one phase also keeps its coefficients, hashed in phase 0, in one
+// CSR-ordered stream of 2m·levels elements, so later phases read them
+// instead of hashing again. Each worker writes only its own vertices'
+// edges, the worker ranges are the same in every phase, and the level
+// barrier orders those writes before any later read.
+
+const (
+	// formChunk is the edge count of one gather: its forms take 64 KiB
+	// and its coefficients 4 KiB of one arena slab, whatever the graph.
+	formChunk = 2048
+	// coeffStreamBudget caps the coefficient stream's bytes; a larger
+	// round hashes its coefficients in every phase instead. solo-deep's
+	// stream (n = 750, k = 11) takes 199 KB.
+	coeffStreamBudget = 4 << 20
+)
+
+// grabCoeffs gives a round of more than one phase its coefficient
+// stream for `levels` fingerprinted levels, from the arena; Free must
+// return it with putCoeffs. A one-phase round, a NoFingerprints run and
+// a stream over coeffStreamBudget get none.
+func (e *laneRun) grabCoeffs(levels int) {
+	size := levels * len(e.g.Adj())
+	if e.st.iters > uint64(e.n2) && !e.opt.NoFingerprints && 2*size <= coeffStreamBudget {
+		e.coeffs = e.opt.Arena.Grab(size)
+	}
+}
+
+// putCoeffs returns the coefficient stream to the arena.
+func (e *laneRun) putCoeffs() {
+	e.opt.Arena.Put(e.coeffs)
+	e.coeffs = nil
+}
+
+// transfer sets, for every vertex i in [lo, hi), its row of nb
+// elements to
+//
+//	dst[i] = mul[i] ⊙ Σ_{u ∈ N(i)} r(u, i, level) · src[u]
+//
+// where r is the fingerprint EdgeCoeff(u, i, level), or 1 under
+// NoFingerprints. slot ∈ [0, levels) is the level's row of the
+// coefficient stream. dst must not alias src or mul.
+func (e *laneRun) transfer(lo, hi int32, level, slot int, dst, src, mul []gf.Elem) {
+	if lo >= hi {
+		return
+	}
+	nb, off, adj := e.st.nb, e.g.Offsets(), e.g.Adj()
+	var stream []gf.Elem
+	if e.coeffs != nil {
+		stream = e.coeffs[slot*len(adj) : (slot+1)*len(adj)]
+	}
+	hash := stream == nil || e.q0 == 0 // else read what phase 0 hashed
+	buf := e.opt.Arena.Grab(formChunk * (gf.FormElems + 1))
+	defer e.opt.Arena.Put(buf)
+	forms, chunk := gf.FormsIn(buf[:formChunk*gf.FormElems]), buf[formChunk*gf.FormElems:]
+	row := func(s []gf.Elem, i int32) []gf.Elem { return s[int(i)*nb : int(i+1)*nb] }
+	v, i := lo, lo // owners of the next edge to hash and to sum
+	// Rows are cleared as their sums start, not all up front, so each
+	// is still in cache for its axpys and its Hadamard.
+	clear(row(dst, i))
+	next := func() {
+		gf.HadamardInto(row(dst, i), row(dst, i), row(mul, i))
+		if i++; i < hi {
+			clear(row(dst, i))
+		}
+	}
+	for c0, end := off[lo], off[hi]; c0 < end; c0 += formChunk {
+		c1 := min(c0+formChunk, end)
+		cs := chunk[:c1-c0]
+		switch {
+		case e.opt.NoFingerprints:
+			for j := range cs {
+				cs[j] = 1
+			}
+		case !hash:
+			cs = stream[c0:c1]
+		default:
+			if stream != nil {
+				cs = stream[c0:c1]
+			}
+			for c := c0; c < c1; c++ {
+				for off[v+1] <= c {
+					v++
+				}
+				cs[c-c0] = e.st.a.EdgeCoeff(adj[c], v, level)
+			}
+		}
+		gf.FormsOf(forms, cs)
+		for c := c0; c < c1; c++ {
+			for off[i+1] <= c {
+				next()
+			}
+			gf.MulSliceForm(row(dst, i), row(src, adj[c]), &forms[c-c0])
+		}
+	}
+	for i < hi {
+		next()
 	}
 }

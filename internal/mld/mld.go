@@ -28,11 +28,16 @@
 // two orientations of an undirected path cancel identically (see
 // DESIGN.md §2; TestNaiveCancellation demonstrates the failure). Hashing
 // makes the coefficients computable on any rank of the distributed
-// implementation with no communication. The GF(2^16) loops pass each
-// coefficient to gf.MulSlice16, which keeps every coefficient's kernel
-// form in one process-wide store inside gf (affine matrices where the
-// CPU has GFNI, nibble tables elsewhere), built on first use; under
-// Options.NoFingerprints they pass 1.
+// implementation with no communication. gf keeps every coefficient's
+// kernel form in one process-wide store (affine matrices where the CPU
+// has GFNI, nibble tables elsewhere), built on first use. The path and
+// tree sweeps walk each worker's CSR edges in chunks: they hash a
+// chunk's coefficients, gather its forms from the store into a
+// per-worker buffer (gf.FormsOf), then run its axpys (gf.MulSliceForm).
+// A round of more than one phase hashes once, in phase 0, into a
+// CSR-ordered stream of 2m·levels coefficients that later phases read
+// back (family.go). The other GF(2^16) loops pass each coefficient to
+// gf.MulSlice16. Under Options.NoFingerprints every coefficient is 1.
 //
 // # Iteration batching
 //
@@ -60,6 +65,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -280,13 +286,5 @@ func (o Options) parallelVertices(g *graph.Graph, fn func(lo, hi int32)) {
 func gray(q uint64) uint64 { return q ^ (q >> 1) }
 
 // flipBit returns the bit position in which gray(q) and gray(q+1)
-// differ: the number of trailing ones... i.e. trailing zeros of q+1.
-func flipBit(q uint64) int {
-	x := q + 1
-	b := 0
-	for x&1 == 0 {
-		x >>= 1
-		b++
-	}
-	return b
-}
+// differ: the number of trailing zeros of q+1.
+func flipBit(q uint64) int { return bits.TrailingZeros64(q + 1) }

@@ -394,13 +394,6 @@ func TestRoundsFor(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestWorkersInvariance: shared-memory workers must not change any
 // round total (vertex ranges write disjoint rows).
 func TestWorkersInvariance(t *testing.T) {

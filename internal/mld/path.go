@@ -36,9 +36,11 @@ func (f *pathFamily) Alloc(e *laneRun) {
 	f.base = e.opt.Arena.Grab(size)
 	f.prev = e.opt.Arena.Grab(size)
 	f.cur = e.opt.Arena.Grab(size)
+	e.grabCoeffs(e.st.K - 1)
 }
 
 func (f *pathFamily) Free(e *laneRun) {
+	e.putCoeffs()
 	e.opt.Arena.Put(f.base, f.prev, f.cur)
 	f.base, f.prev, f.cur = nil, nil, nil
 }
@@ -62,22 +64,9 @@ func (f *pathFamily) Transfer(e *laneRun, step int) {
 	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
 	opt.obsSpan(obs.LevelName, j, "level")
 	opt.obsLevel(levelElems(g) * int64(nb))
+	// P(i,j) = x_i · Σ_u r·P(u,j-1)
 	opt.parallelVertices(g, func(lo, hi int32) {
-		for i := lo; i < hi; i++ {
-			row := int(i) * nb
-			dst := f.cur[row : row+nb]
-			clear(dst)
-			for _, u := range g.Neighbors(i) {
-				r := gf.Elem(1)
-				if !opt.NoFingerprints {
-					r = st.a.EdgeCoeff(u, i, j)
-				}
-				urow := int(u) * nb
-				gf.MulSlice16(dst, f.prev[urow:urow+nb], r)
-			}
-			// P(i,j) = x_i · Σ_u r·P(u,j-1)
-			gf.HadamardInto(dst, dst, f.base[row:row+nb])
-		}
+		e.transfer(lo, hi, j, j-2, f.cur, f.prev, f.base)
 	})
 	opt.obsEnd()
 	f.prev, f.cur = f.cur, f.prev

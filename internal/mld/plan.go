@@ -3,14 +3,17 @@ package mld
 // Phase-width (N2) planning — the one place the default lives.
 //
 // A sweep's fixed cost is paid per phase: every phase walks all 2m
-// edges at every level and fetches one coefficient table per (edge,
-// level), whatever the width of the vectors it then multiplies. Wider
-// phases amortize that fetch over more iterations, and a measured N2
-// sweep is monotone with no cache cliff (docs/PERFORMANCE.md, "Table
-// fetch"), so the only ceiling on the width is the space the DP state
-// takes: slabs · n · N2 two-byte elements (the
+// edges at every level, gathers one coefficient form per (edge,
+// level) and calls one axpy per edge, whatever the width of the vectors
+// it then multiplies. Since the path and tree sweeps gather forms in
+// CSR order and hash once per round, that cost is small at the planned
+// width: at solo-deep's shape the planned width runs as fast as one
+// phase of 2^k, while 128-wide phases still take 1.4–1.9× as long
+// (docs/PERFORMANCE.md §16). A measured N2 sweep is monotone with no
+// cache cliff (§11), so the only ceiling on the width is the space the
+// DP state takes: slabs · n · N2 two-byte elements (the
 // Akhtar–Misra–Philip accounting, PAPERS.md). PlanN2 spends a fixed
-// byte budget on it.
+// byte budget on it; the budget now guards memory more than time.
 //
 // The plan is a pure function of the query's shape — never of load,
 // calibration, or the host — so every replica of a fleet and every

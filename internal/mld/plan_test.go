@@ -175,8 +175,9 @@ func buildAllTablesScrambled() {
 // BenchmarkPathSweepN2 times one full k-path sweep at the shape of the
 // wall-clock benchmark's solo-deep workload (n = 750, m = n·ln n,
 // k = 11) at the pre-planner default width, the planned width and one
-// single phase — the per-phase table-fetch cost the planner amortizes
-// (docs/PERFORMANCE.md, "Table fetch"). Run via `make bench`.
+// single phase — the per-phase cost the planner amortizes
+// (docs/PERFORMANCE.md, "Table fetch") — and at the planned width on
+// two workers. Run via `make bench`.
 func BenchmarkPathSweepN2(b *testing.B) {
 	const n, k = 750, 11
 	g := graph.RandomNLogN(n, 1)
@@ -184,12 +185,12 @@ func BenchmarkPathSweepN2(b *testing.B) {
 	arena := NewArena()
 	buildAllTablesScrambled()
 	for _, w := range []struct {
-		name string
-		n2   int
-	}{{"128", 128}, {"planned", 0}, {"2^k", 1 << k}} {
+		name        string
+		n2, workers int
+	}{{"128", 128, 1}, {"planned", 0, 1}, {"2^k", 1 << k, 1}, {"workers=2", 0, 2}} {
 		b.Run(w.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				total, err := pathRound(g, a, Options{N2: w.n2, Arena: arena})
+				total, err := pathRound(g, a, Options{N2: w.n2, Workers: w.workers, Arena: arena})
 				if err != nil {
 					b.Fatal(err)
 				}

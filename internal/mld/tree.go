@@ -14,6 +14,7 @@ type treeFamily struct {
 	d    *graph.Decomposition
 	base []gf.Elem
 	vals [][]gf.Elem
+	slot []int // internal node → its level row in the coefficient stream
 }
 
 func (f *treeFamily) Kind() string      { return "tree" }
@@ -38,21 +39,27 @@ func (f *treeFamily) Alloc(e *laneRun) {
 	f.base = e.opt.Arena.Grab(size)
 	// one value buffer per internal decomposition node; leaves share base.
 	f.vals = make([][]gf.Elem, len(f.d.Nodes))
+	f.slot = make([]int, len(f.d.Nodes))
+	levels := 0
 	for j, nd := range f.d.Nodes {
 		if nd.Left >= 0 {
 			f.vals[j] = e.opt.Arena.Grab(size)
+			f.slot[j] = levels
+			levels++
 		}
 	}
+	e.grabCoeffs(levels)
 }
 
 func (f *treeFamily) Free(e *laneRun) {
+	e.putCoeffs()
 	e.opt.Arena.Put(f.base)
 	for j, nd := range f.d.Nodes {
 		if nd.Left >= 0 {
 			e.opt.Arena.Put(f.vals[j])
 		}
 	}
-	f.base, f.vals = nil, nil
+	f.base, f.vals, f.slot = nil, nil, nil
 }
 
 func (f *treeFamily) InitRow(e *laneRun) {
@@ -71,28 +78,14 @@ func (f *treeFamily) Transfer(e *laneRun, step int) {
 		f.vals[j] = f.base
 		return
 	}
-	g, opt, st, nb := e.g, e.opt, e.st, e.st.nb
+	g, opt := e.g, e.opt
 	opt.obsSpan(obs.LevelName, j, "level")
-	opt.obsLevel(levelElems(g) * int64(nb))
+	opt.obsLevel(levelElems(g) * int64(e.st.nb))
 	left, right, dst := f.vals[nd.Left], f.vals[nd.Right], f.vals[j]
+	// P(i, H') = P(i, H'_1) · Σ_u r·P(u, H'_2), the fingerprints keyed
+	// by the decomposition node index, unique per subtree shape.
 	opt.parallelVertices(g, func(lo, hi int32) {
-		av := make([]gf.Elem, nb) // per-worker neighbor sum
-		for i := lo; i < hi; i++ {
-			clear(av)
-			for _, u := range g.Neighbors(i) {
-				r := gf.Elem(1)
-				if !opt.NoFingerprints {
-					// level key: the decomposition node index,
-					// unique per subtree shape.
-					r = st.a.EdgeCoeff(u, i, j)
-				}
-				urow := int(u) * nb
-				gf.MulSlice16(av, right[urow:urow+nb], r)
-			}
-			// P(i, H') = P(i, H'_1) · Σ_u r·P(u, H'_2)
-			row := int(i) * nb
-			gf.HadamardInto(dst[row:row+nb], left[row:row+nb], av)
-		}
+		e.transfer(lo, hi, j, f.slot[j], dst, right, left)
 	})
 	opt.obsEnd()
 }

@@ -564,3 +564,30 @@ func BenchmarkScanTableWide(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTreeSweep times one round of a tree query at the shape of
+// the wall-clock benchmark's kinds-wide workload: the 7-vertex
+// caterpillar template on a Barabási–Albert graph with n = 10 000 and
+// 5 edges per new vertex, at the planned width (one phase of 2^7), in
+// a process that has already built every coefficient's form. Run via
+// `make bench`.
+func BenchmarkTreeSweep(b *testing.B) {
+	const n = 10000
+	g := graph.BarabasiAlbert(n, 5, 1)
+	tpl := graph.MustTemplate(7, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {1, 4}, {2, 5}, {3, 6}})
+	d := tpl.Decompose()
+	arena := NewArena()
+	buildAllTablesScrambled()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a := NewTreeAssignment(n, tpl.K(), uint64(i+1), 0)
+				total, err := treeRound(g, d, a, Options{Workers: workers, Arena: arena})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sweepSink = total
+			}
+		})
+	}
+}
