@@ -95,7 +95,8 @@ func TestRunMotifValidation(t *testing.T) {
 // clock, the N1 planner and the bench baseline's gates, so a rewrite of
 // the motif transfer must charge exactly what the per-edge triple
 // product charged: one skip per dead (vertex, neighbour, split) cell and
-// one width-nb kernel op per live one.
+// one width-nb kernel op per live one. Rows for the other distributed
+// families pin what a restructuring of their shared schedule must keep.
 func TestMotifCountersPinned(t *testing.T) {
 	g := graph.RandomGNM(40, 120, 4)
 	labels := make([]int32, g.NumVertices())
@@ -131,6 +132,57 @@ func TestMotifCountersPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("RunMotif", func(c obs.Counter) int64 { return recs[0].Get(c) + recs[1].Get(c) }, []int64{112416, 7830, 40, 8, 32, 17408})
+
+	// The other distributed families at two ranks, Rounds included: path
+	// and tree stop at their first non-zero round, scan and max-weight
+	// run every round.
+	gW := graph.RandomGNM(24, 60, 3)
+	wts := make([]int64, gW.NumVertices())
+	for v := range wts {
+		wts[v] = int64(v % 3)
+	}
+	gW.SetWeights(wts)
+	counters = append(counters, obs.Rounds)
+	bfs := Config{N1: 2, Seed: 73, Rounds: 2, Scheme: partition.SchemeBFSGrow}
+	for _, row := range []struct {
+		name string
+		run  func(c *comm.Comm) error
+		want []int64
+	}{
+		{"RunPath", func(c *comm.Comm) error {
+			cfg := bfs
+			cfg.K, cfg.N2 = 6, 16
+			_, err := RunPath(c, g, cfg)
+			return err
+		}, []int64{98760, 0, 40, 8, 32, 17920, 2}},
+		{"RunTree", func(c *comm.Comm) error {
+			cfg := bfs
+			cfg.N2 = 16
+			_, err := RunTree(c, g, graph.RandomTemplate(6, 13), cfg)
+			return err
+		}, []int64{98760, 0, 40, 8, 24, 13440, 2}},
+		{"RunScan", func(c *comm.Comm) error {
+			cfg := bfs
+			cfg.K, cfg.N2 = 4, 4
+			_, err := RunScan(c, gW, ScanConfig{Config: cfg, ZMax: 4})
+			return err
+		}, []int64{79308, 36516, 64, 24, 200, 13600, 8}},
+		{"RunMaxWeightPath", func(c *comm.Comm) error {
+			cfg := bfs
+			cfg.K, cfg.N2 = 4, 8
+			_, _, err := RunMaxWeightPath(c, gW, cfg)
+			return err
+		}, []int64{55856, 3220, 24, 8, 96, 13056, 4}},
+	} {
+		err := comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
+			recs[c.Rank()] = c.EnableObs()
+			return row.run(c)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		check(row.name, func(c obs.Counter) int64 { return recs[0].Get(c) + recs[1].Get(c) }, row.want)
+	}
 }
 
 type errAssert string
