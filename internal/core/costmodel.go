@@ -69,10 +69,8 @@ func calibrate() {
 	})
 }
 
-// kernelCosts returns the calibrated (element, edge) costs. The buffers
-// argument (the number of live nSlots×N2 arrays) is accepted for
-// interface stability but unused; see the package comment above.
-func (p *plan) kernelCosts(buffers int) (elemSec, edgeSec float64) {
+// kernelCosts returns the calibrated (element, edge) costs.
+func (p *plan) kernelCosts() (elemSec, edgeSec float64) {
 	calibrate()
 	return elemSecC, edgeSecC
 }

@@ -1,10 +1,9 @@
 package core
 
 // Distributed constrained-motif goldens: the world's per-round field
-// totals (each rank's motifRoundLocal share, XOR all-reduced) at two
-// ranks, over both phase-group layouts (N1 = 1: two groups splitting the
-// phases; N1 = 2: one group splitting the vertices) and two
-// partitioners. Field arithmetic is exact, so any reordering of the
+// totals (each rank's share, XOR all-reduced) at two ranks, over both
+// phase-group layouts (N1 = 1: two groups splitting the phases; N1 = 2:
+// one group splitting the vertices) and two partitioners. Field arithmetic is exact, so any reordering of the
 // motif transfer must reproduce these bytes identically. Regenerate only
 // when the randomness derivation changes:
 // go test ./internal/core -run TestGoldenMotifDistributed -update-golden
@@ -59,21 +58,15 @@ func TestGoldenMotifDistributed(t *testing.T) {
 		seed := uint64(61 + ci)
 		perRank := make([][]string, 2)
 		err := comm.RunLocal(2, comm.CostModel{}, func(w *comm.Comm) error {
-			cfg := Config{K: c.spec.K, N1: c.n1, N2: c.n2, Seed: seed, Scheme: c.scheme, NoFingerprints: c.noFP}
+			cfg := Config{K: c.spec.K, N1: c.n1, N2: c.n2, Seed: seed, Rounds: 3, Scheme: c.scheme, NoFingerprints: c.noFP}
 			p, err := buildPlan(w, g, cfg, mld.LevelSlabs(c.spec.K))
 			if err != nil {
 				return err
 			}
-			for round := 0; round < 3; round++ {
-				a := mld.NewMotifAssignment(g, c.spec, seed, round)
-				total, err := p.motifRoundLocal(a, c.spec.K)
-				if err != nil {
-					return err
-				}
-				global := w.AllreduceXor([]uint64{uint64(total)})
-				perRank[w.Rank()] = append(perRank[w.Rank()], fmt.Sprintf("%04x", uint16(global[0])))
-			}
-			return nil
+			perRank[w.Rank()], err = roundTotals(p, newMotifFamily(p), 1, func(round int) *mld.Assignment {
+				return mld.NewMotifAssignment(g, c.spec, seed, round)
+			})
+			return err
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
