@@ -63,7 +63,8 @@ doc-links:
 # at the pre-planner / planned / single-phase widths and at the planned
 # width on two workers (BenchmarkPathSweepN2), the tree sweep
 # (BenchmarkTreeSweep) and the scan table at the kinds-wide shape at
-# one and two workers,
+# one and two workers, one round of a 2-rank path and motif query at
+# the dist-r2 shape (BenchmarkRunPathR2, BenchmarkRunMotifR2),
 # a 12-query burst as back-to-back solo calls / lane-parallel solo
 # sweeps), repeated for benchstat-friendly output.
 bench:

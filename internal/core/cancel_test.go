@@ -9,6 +9,7 @@ import (
 
 	"github.com/midas-hpc/midas/internal/comm"
 	"github.com/midas-hpc/midas/internal/graph"
+	"github.com/midas-hpc/midas/internal/mld"
 	"github.com/midas-hpc/midas/internal/obs"
 	"github.com/midas-hpc/midas/internal/partition"
 )
@@ -61,32 +62,46 @@ func TestRunPathDeadlineStopsEarly(t *testing.T) {
 	}
 }
 
-// TestRunTreeAndScanCancelled: the tree and scan entry points honor an
-// already-cancelled context too.
+// TestRunTreeAndScanCancelled: the tree, scan, motif and max-weight
+// entry points honor an already-cancelled context too.
 func TestRunTreeAndScanCancelled(t *testing.T) {
 	g := graph.RandomGNM(30, 90, 9)
 	w := make([]int64, g.NumVertices())
+	labels := make([]int32, g.NumVertices())
 	for i := range w {
 		w[i] = int64(i % 3)
+		labels[i] = int32(i % 2)
 	}
 	g.SetWeights(w)
+	g.SetLabels(labels)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	cfg := Config{K: 3, Seed: 3, Rounds: 1, Ctx: ctx}
 
-	tpl := graph.RandomTemplate(4, 11)
-	err := comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
-		_, err := RunTree(c, g, tpl, Config{Seed: 3, Rounds: 1, Ctx: ctx})
-		return err
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunTree: got %v, want context.Canceled", err)
-	}
-	err = comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
-		_, err := RunScan(c, g, ScanConfig{Config: Config{K: 3, Seed: 3, Rounds: 1, Ctx: ctx}, ZMax: 4})
-		return err
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunScan: got %v, want context.Canceled", err)
+	for _, c := range []struct {
+		name string
+		run  func(c *comm.Comm) error
+	}{
+		{"RunTree", func(c *comm.Comm) error {
+			_, err := RunTree(c, g, graph.RandomTemplate(4, 11), cfg)
+			return err
+		}},
+		{"RunScan", func(c *comm.Comm) error {
+			_, err := RunScan(c, g, ScanConfig{Config: cfg, ZMax: 4})
+			return err
+		}},
+		{"RunMotif", func(c *comm.Comm) error {
+			_, err := RunMotif(c, g, &mld.MotifSpec{K: 4, Counts: map[int32]int{0: 2}}, cfg)
+			return err
+		}},
+		{"RunMaxWeightPath", func(c *comm.Comm) error {
+			_, _, err := RunMaxWeightPath(c, g, cfg)
+			return err
+		}},
+	} {
+		if err := comm.RunLocal(2, comm.CostModel{}, c.run); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, want context.Canceled", c.name, err)
+		}
 	}
 }
 
